@@ -272,6 +272,8 @@ impl ChaosOutcome {
     }
 }
 
+/// 64-bit FNV-1a over bytes and little-endian `u64`s: the hash behind
+/// every outcome digest in this crate.
 pub(crate) struct Fnv(u64);
 
 impl Fnv {

@@ -14,20 +14,20 @@
 //!   simulation with a seed derived from the fleet seed. Groups share
 //!   nothing, so [`run_fleet`] fans them across worker threads with
 //!   [`run_batch_with`](crate::runner::run_batch_with) — the
-//!   within-one-scenario counterpart of the harness's across-scenario
+//!   within-one-scenario counterpart of
+//!   [`run_batch`](crate::runner::run_batch)'s across-scenario
 //!   parallelism — and the fleet digest is bit-identical at every thread
 //!   count.
 //!
-//! Throughput of this family is the kernel-bound workload the slab/
-//! timing-wheel kernel (DESIGN §11) is measured against: tens of
-//! thousands of live processes, endpoints and timers make every O(log n)
-//! table walk visible.
-
-use std::time::Duration;
+//! This family is the kernel-bound workload the slab/timing-wheel kernel
+//! (DESIGN §11) is built for: tens of thousands of live processes,
+//! endpoints and timers make every O(log n) table walk visible. The
+//! `fleet` workload of `perfbench/` measures it.
 
 use mead::RecoveryScheme;
 use simnet::SimTime;
 
+use crate::chaos::Fnv;
 use crate::runner::run_batch_with;
 use crate::scenario::{run_scenario, ScenarioConfig, ScenarioOutcome};
 
@@ -115,9 +115,6 @@ pub struct FleetOutcome {
     pub server_failures: u64,
     /// Groups whose every client completed the workload.
     pub groups_completed: u32,
-    /// Wall-clock dispatch time summed over groups (the single-thread
-    /// equivalent cost; not deterministic, excluded from the digest).
-    pub wall: Duration,
 }
 
 impl FleetOutcome {
@@ -125,35 +122,17 @@ impl FleetOutcome {
     /// aggregates — the fleet counterpart of
     /// [`ScenarioOutcome::digest`]. Bit-identical across thread counts.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        };
-        fold(self.group_digests.len() as u64);
+        let mut h = Fnv::new();
+        h.u64(self.group_digests.len() as u64);
         for &d in &self.group_digests {
-            fold(d);
+            h.u64(d);
         }
-        fold(self.total_events);
-        fold(self.completed_invocations);
-        fold(self.client_failures);
-        fold(self.server_failures);
-        fold(u64::from(self.groups_completed));
-        h
-    }
-
-    /// Events dispatched per wall-clock second of kernel time (0.0 when
-    /// the wall time was too short to measure).
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.total_events as f64 / secs
-        } else {
-            0.0
-        }
+        h.u64(self.total_events);
+        h.u64(self.completed_invocations);
+        h.u64(self.client_failures);
+        h.u64(self.server_failures);
+        h.u64(u64::from(self.groups_completed));
+        h.finish()
     }
 
     fn from_groups(outcomes: &[ScenarioOutcome]) -> FleetOutcome {
@@ -164,11 +143,9 @@ impl FleetOutcome {
             client_failures: 0,
             server_failures: 0,
             groups_completed: 0,
-            wall: Duration::ZERO,
         };
         for out in outcomes {
             fleet.total_events += out.events_processed;
-            fleet.wall += out.wall;
             fleet.server_failures += out.server_failures();
             let mut all_done = true;
             for report in &out.all_reports {

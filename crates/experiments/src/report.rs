@@ -144,8 +144,7 @@ pub fn table1_row(
 /// Regenerates all of Table 1 — every recovery strategy at the paper
 /// configuration — on up to `threads` worker threads. The first scheme
 /// (reactive without cache) is the baseline, exactly as in the paper.
-/// Returns the rows alongside their source outcomes (the bench harness
-/// digests them).
+/// Returns the rows alongside their source outcomes.
 pub fn run_table1(
     invocations: u32,
     seed: u64,

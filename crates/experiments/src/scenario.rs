@@ -21,6 +21,7 @@ use simnet::{
     Simulation,
 };
 
+use crate::chaos::Fnv;
 use crate::workload::{ClientPolicy, ClientWorkload, ReportHandle, WorkloadConfig, WorkloadReport};
 
 /// Experiment parameters.
@@ -95,8 +96,8 @@ impl ScenarioConfig {
 }
 
 /// The canonical 13-cell paper workload: every Table 1 row plus the full
-/// Figure 5 threshold sweep. Shared by the bench harness and the digest
-/// pin test so they can never drift apart.
+/// Figure 5 threshold sweep. Shared by the digest pin test and
+/// `perfbench`'s `paper` workload so they can never drift apart.
 pub fn paper_workload(invocations: u32) -> Vec<(String, ScenarioConfig)> {
     let mut cells = Vec::new();
     for scheme in RecoveryScheme::ALL {
@@ -145,9 +146,6 @@ pub struct ScenarioOutcome {
     /// The observability trace of the run, in emission order
     /// (deterministic; serialise with [`trace_jsonl`](Self::trace_jsonl)).
     pub trace: Vec<obs::TraceEvent>,
-    /// Wall-clock time the kernel spent dispatching those events (not
-    /// deterministic; excluded from [`digest`](Self::digest)).
-    pub wall: std::time::Duration,
 }
 
 impl ScenarioOutcome {
@@ -168,17 +166,6 @@ impl ScenarioOutcome {
         self.report.client_failures() as f64 * 100.0 / servers as f64
     }
 
-    /// Events dispatched per wall-clock second for this run (0.0 when the
-    /// wall time was too short to measure).
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.events_processed as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// The run's trace as JSON lines; equal traces produce equal bytes.
     pub fn trace_jsonl(&self) -> String {
         obs::jsonl::to_jsonl(&self.trace)
@@ -192,25 +179,12 @@ impl ScenarioOutcome {
     /// A 64-bit FNV-1a digest over every deterministic observable of the
     /// outcome: all per-invocation records of every client, all metric
     /// counters and byte-record series, the observability trace, the
-    /// simulated timestamps and the event count. Two runs of the same [`ScenarioConfig`] are
-    /// *bit-identical* exactly when their digests match — this is what the
-    /// determinism regression test and the bench harness compare across
-    /// thread counts. Wall-clock accounting is deliberately excluded.
+    /// simulated timestamps and the event count. Two runs of the same
+    /// [`ScenarioConfig`] are *bit-identical* exactly when their digests
+    /// match — this is what the determinism regression test compares
+    /// across thread counts.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        struct Fnv(u64);
-        impl Fnv {
-            fn bytes(&mut self, bytes: &[u8]) {
-                for &b in bytes {
-                    self.0 = (self.0 ^ b as u64).wrapping_mul(PRIME);
-                }
-            }
-            fn u64(&mut self, v: u64) {
-                self.bytes(&v.to_le_bytes());
-            }
-        }
-        let mut h = Fnv(OFFSET);
+        let mut h = Fnv::new();
         h.u64(self.all_reports.len() as u64);
         for report in &self.all_reports {
             h.u64(report.records.len() as u64);
@@ -243,7 +217,7 @@ impl ScenarioOutcome {
         h.u64(self.finished_at.as_nanos());
         h.u64(self.workload_start.as_nanos());
         h.u64(self.events_processed);
-        h.0
+        h.finish()
     }
 }
 
@@ -401,7 +375,6 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         workload_start,
         events_processed: sim.events_processed(),
         trace,
-        wall: sim.wall_elapsed(),
     }
 }
 

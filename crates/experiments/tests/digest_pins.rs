@@ -1,5 +1,6 @@
-//! Pins the 13 paper-workload scenario digests to their committed
-//! values (`BENCH_harness.json`).
+//! Pins the 13 paper-workload scenario digests, and the fleet family's
+//! event counts and digests at 100 and 1,000 clients per group, to fixed
+//! values.
 //!
 //! The DESIGN §11 kernel refactor (slab-indexed state tables, timing-
 //! wheel event queue) was performed under the obligation that every one
@@ -10,9 +11,10 @@
 //! a *semantic* change to the simulation and needs the baselines
 //! regenerated deliberately, not silently.
 
-use experiments::{paper_workload, run_scenario};
+use experiments::{paper_workload, run_fleet, run_scenario, FleetConfig};
+use mead::RecoveryScheme;
 
-/// `(label, digest)` exactly as committed in `BENCH_harness.json`.
+/// `(label, digest)` of every paper-workload cell at 10,000 invocations.
 const PINNED: [(&str, u64); 13] = [
     ("table1/Reactive_Without_Cache", 0x47800b489ed93fe3),
     ("table1/Reactive_With_Cache", 0x1ad5656549033ee1),
@@ -46,4 +48,27 @@ fn paper_workload_digests_match_committed_values() {
         "scenario digests drifted from committed baselines:\n{}",
         failures.join("\n")
     );
+}
+
+/// `(clients per group, events, digest)` of the MEAD fleet at the default
+/// shape (4 groups, 5 invocations per client, seed 42). The event counts
+/// are those of the BTreeMap/BinaryHeap kernel the DESIGN §11 kernel
+/// replaced; `perfbench`'s pinned fleet digest guards 4,000 clients.
+const FLEET_PINNED: [(u32, u64, u64); 2] = [
+    (100, 50_382, 0x060d4cba2b71010c),
+    (1_000, 5_327_220, 0x137f9b71998a5ea7),
+];
+
+#[test]
+fn fleet_event_counts_and_digests_match_committed_values() {
+    for (clients, events, digest) in FLEET_PINNED {
+        let out = run_fleet(&FleetConfig::new(RecoveryScheme::MeadFailover, clients), 1);
+        assert_eq!(out.total_events, events, "{clients} clients/group: events");
+        assert_eq!(
+            out.digest(),
+            digest,
+            "{clients} clients/group: got {:#018x}",
+            out.digest()
+        );
+    }
 }

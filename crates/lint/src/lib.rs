@@ -40,8 +40,7 @@
 //!
 //! The workspace call graph is built **once** per invocation and shared
 //! by every interprocedural pass (R5 uses the induced subgraph of its
-//! scope, R9/R11/R12 the full graph); `--timings` reports its cost as
-//! the `callgraph` row.
+//! scope, R9/R11/R12 the full graph).
 //!
 //! Suppressions are allowed only through a justified
 //! [`lint-allow.toml`](allow) entry; stale entries are configuration
@@ -635,155 +634,15 @@ pub fn conflict_report(
     Ok(effects::conflict_report(&graph, &spec, effects_cfg))
 }
 
-/// One contract per rule with every other pass disabled, so each rule's
-/// cost can be measured in isolation for `--timings`.
-fn per_rule_contracts(full: &Contract) -> Vec<(&'static str, Contract)> {
-    let base = Contract {
-        r1_scopes: Vec::new(),
-        r2_scopes: Vec::new(),
-        r3_scopes: Vec::new(),
-        r4_scopes: Vec::new(),
-        r5_scopes: Vec::new(),
-        r5_sinks: Vec::new(),
-        r6_scopes: Vec::new(),
-        r7_scopes: Vec::new(),
-        protocol_enums: full.protocol_enums.clone(),
-        conformance: None,
-        fsm: None,
-        dataflow: None,
-        effects: None,
-    };
-    vec![
-        (
-            "R1",
-            Contract {
-                r1_scopes: full.r1_scopes.clone(),
-                ..base.clone()
-            },
-        ),
-        (
-            "R2",
-            Contract {
-                r2_scopes: full.r2_scopes.clone(),
-                ..base.clone()
-            },
-        ),
-        (
-            "R3",
-            Contract {
-                r3_scopes: full.r3_scopes.clone(),
-                ..base.clone()
-            },
-        ),
-        (
-            "R4",
-            Contract {
-                r4_scopes: full.r4_scopes.clone(),
-                ..base.clone()
-            },
-        ),
-        (
-            "R5",
-            Contract {
-                r5_scopes: full.r5_scopes.clone(),
-                r5_sinks: full.r5_sinks.clone(),
-                ..base.clone()
-            },
-        ),
-        (
-            "R6",
-            Contract {
-                r6_scopes: full.r6_scopes.clone(),
-                ..base.clone()
-            },
-        ),
-        (
-            "R7",
-            Contract {
-                r7_scopes: full.r7_scopes.clone(),
-                ..base.clone()
-            },
-        ),
-        (
-            "R8",
-            Contract {
-                conformance: full.conformance.clone(),
-                ..base.clone()
-            },
-        ),
-        (
-            "R9",
-            Contract {
-                fsm: full.fsm.clone(),
-                ..base.clone()
-            },
-        ),
-        (
-            "R10",
-            Contract {
-                dataflow: full.dataflow.clone(),
-                ..base.clone()
-            },
-        ),
-        // R11/R12 cannot run without the R9 extraction they share, so
-        // their row includes it; subtract the R9 row for the pass alone.
-        (
-            "R11+R12",
-            Contract {
-                fsm: full.fsm.clone(),
-                effects: full.effects.clone(),
-                ..base
-            },
-        ),
-    ]
-}
-
-/// Files a rule actually looks at, for the `--timings` report. R8 and R9
-/// are whole-tree passes (liveness and the transition extractor must see
-/// every file); the rest are scope-filtered.
-fn files_for_rule(rule: &str, contract: &Contract, sources: &[(String, String)]) -> usize {
-    let scope_count = |scopes: &[String]| {
-        sources
-            .iter()
-            .filter(|(p, _)| scopes.iter().any(|s| p.starts_with(s.as_str())))
-            .count()
-    };
-    match rule {
-        "R1" => scope_count(&contract.r1_scopes),
-        "R2" => scope_count(&contract.r2_scopes),
-        "R3" => scope_count(&contract.r3_scopes),
-        "R4" => scope_count(&contract.r4_scopes),
-        "R5" => scope_count(&contract.r5_scopes),
-        "R6" => scope_count(&contract.r6_scopes),
-        "R7" => scope_count(&contract.r7_scopes),
-        "R8" | "R9" | "R11+R12" | "callgraph" => sources.len(),
-        "R10" => contract
-            .dataflow
-            .as_ref()
-            .map(|d| sources.iter().filter(|(p, _)| d.in_scope(p)).count())
-            .unwrap_or(0),
-        _ => 0,
-    }
-}
-
 /// CLI driver shared by the `detlint` binaries. Returns the process exit
 /// code: 0 clean, 1 unsuppressed findings, 2 configuration error (bad
 /// flags, malformed or stale allowlist, unreadable tree, missing or
-/// malformed protocol spec). The lint crate is itself in R1 scope, so
-/// the monotonic clock used by `--timings` is injected by the binary;
-/// [`cli_main`] runs with a zero clock (timings print as 0.00ms).
+/// malformed protocol spec).
 pub fn cli_main(args: &[String]) -> i32 {
-    cli_main_with_clock(args, &|| 0)
-}
-
-/// [`cli_main`] with an injected monotonic nanosecond clock for
-/// `--timings`.
-pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 {
     let mut root = PathBuf::from(".");
     let mut allow_path: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
     let mut write_baseline = false;
-    let mut timings = false;
     let mut fsm_report_path: Option<PathBuf> = None;
     let mut conflict_report_path: Option<PathBuf> = None;
     let mut format = Format::Text;
@@ -812,7 +671,6 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
                 baseline_path = Some(PathBuf::from(v));
             }
             "--write-baseline" => write_baseline = true,
-            "--timings" => timings = true,
             "--fsm-report" => {
                 let Some(v) = it.next() else {
                     eprintln!("detlint: --fsm-report needs a value");
@@ -849,8 +707,7 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
                      \n\
                      USAGE: detlint [--root DIR] [--allow FILE] [--baseline FILE]\n\
                      \x20              [--format text|json|sarif] [--write-baseline]\n\
-                     \x20              [--timings] [--fsm-report FILE]\n\
-                     \x20              [--conflict-report FILE]\n\
+                     \x20              [--fsm-report FILE] [--conflict-report FILE]\n\
                      \n\
                      --root DIR        workspace root to scan (default: .)\n\
                      --allow FILE      suppression list (default: <root>/lint-allow.toml)\n\
@@ -859,7 +716,6 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
                      --format FMT      output format: text (default), json, sarif\n\
                      --json            shorthand for --format json\n\
                      --write-baseline  snapshot current findings into the baseline file\n\
-                     --timings         print per-rule wall-clock and file counts to stderr\n\
                      --fsm-report FILE write the R9 state-machine extraction report (JSON)\n\
                      --conflict-report FILE\n\
                      \x20                 write the statically derived conflict-relation/1\n\
@@ -970,44 +826,6 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
             return 2;
         }
         eprintln!("detlint: wrote conflict relation to {}", path.display());
-    }
-    if timings {
-        // Re-run each rule in isolation against the already-loaded
-        // sources; the empty allowlist keeps suppression cost out of the
-        // per-rule numbers.
-        let no_allow = AllowList::empty();
-        eprintln!("detlint: per-rule timings:");
-        // The shared call graph is built once per lint_files invocation;
-        // time it standalone so the saving over per-pass builds is
-        // visible.
-        {
-            let t0 = now_nanos();
-            let mut file_asts = Vec::with_capacity(sources.len());
-            for (rel, src) in &sources {
-                if let Ok(trees) = synlite::parse_file(src) {
-                    file_asts.push(FileAst::parse(rel, &trees, src));
-                }
-            }
-            let graph = CallGraph::build(&file_asts);
-            let dt = now_nanos().saturating_sub(t0);
-            eprintln!(
-                "detlint:   {name:<7} {ms:>9.2}ms  {n} file(s), {k} node(s) — built once, shared by R5/R9/R11+R12",
-                name = "callgraph",
-                ms = dt as f64 / 1e6,
-                n = files_for_rule("callgraph", &contract, &sources),
-                k = graph.nodes.len(),
-            );
-        }
-        for (name, rule_contract) in per_rule_contracts(&contract) {
-            let n = files_for_rule(name, &contract, &sources);
-            let t0 = now_nanos();
-            let _ = lint_files(&sources, &rule_contract, &no_allow);
-            let dt = now_nanos().saturating_sub(t0);
-            eprintln!(
-                "detlint:   {name:<7} {ms:>9.2}ms  {n} file(s)",
-                ms = dt as f64 / 1e6
-            );
-        }
     }
     if write_baseline {
         let all: Vec<Finding> = report

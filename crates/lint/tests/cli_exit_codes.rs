@@ -41,13 +41,12 @@ fn clean_workspace_exits_zero() {
     write(&root, "crates/demo/src/lib.rs", "pub fn ok() {}\n");
     write(&root, "specs/recovery-protocol.toml", MINIMAL_SPEC);
     assert_eq!(run(&["--root", &root_arg(&root)]), 0);
-    // --timings and --fsm-report ride along without changing the code.
+    // --fsm-report rides along without changing the code.
     let report = root.join("fsm-report.json");
     assert_eq!(
         run(&[
             "--root",
             &root_arg(&root),
-            "--timings",
             "--fsm-report",
             &report.to_string_lossy(),
         ]),
@@ -87,6 +86,8 @@ fn stale_allow_entry_exits_two() {
 fn unknown_flag_exits_two() {
     assert_eq!(run(&["--frobnicate"]), 2);
     assert_eq!(run(&["--format", "yaml"]), 2);
+    // `--timings` is not a flag: wall-clock timing belongs to perfbench.
+    assert_eq!(run(&["--timings"]), 2);
 }
 
 #[test]

@@ -27,7 +27,6 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::mem;
 use std::rc::Rc;
-use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
@@ -277,7 +276,6 @@ pub struct Simulation {
     obs_kernel: bool,
     trace: Vec<(SimTime, ProcessId, String)>,
     events_processed: u64,
-    wall_in_run: Duration,
     /// Severed node pairs (normalised lower-index first). Network actions
     /// crossing a severed link park in `parked` until the link heals.
     partitions: BTreeSet<(u32, u32)>,
@@ -350,7 +348,6 @@ impl Simulation {
             obs_kernel: false,
             trace: Vec::new(),
             events_processed: 0,
-            wall_in_run: Duration::ZERO,
             partitions: BTreeSet::new(),
             parked: Vec::new(),
             oneway_cuts: BTreeSet::new(),
@@ -747,24 +744,6 @@ impl Simulation {
         self.events_processed
     }
 
-    /// Wall-clock time spent dispatching events, summed over every
-    /// [`run_until`](Self::run_until) call. Purely observational: it never
-    /// feeds back into simulated time, so determinism is unaffected.
-    pub fn wall_elapsed(&self) -> Duration {
-        self.wall_in_run
-    }
-
-    /// Mean dispatch rate (events per wall-clock second) over the time
-    /// spent inside [`run_until`](Self::run_until). 0.0 before any run.
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall_in_run.as_secs_f64();
-        if secs > 0.0 {
-            self.events_processed as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// Shared handle to the metrics store (clone to keep after the run).
     pub fn metrics_handle(&self) -> Rc<RefCell<Metrics>> {
         Rc::clone(&self.metrics)
@@ -810,26 +789,14 @@ impl Simulation {
             .map(|(t, pid, msg)| format!("[{t}] {pid}: {msg}"))
     }
 
-    /// Runs until the clock reaches `deadline`, the queue drains, or
-    /// `event_limit` events have been dispatched.
+    /// Runs until the clock reaches `deadline` or the queue drains.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
         self.run_until_limited(deadline, u64::MAX)
     }
 
     /// [`run_until`](Self::run_until) with an explicit event budget, as a
     /// guard against runaway periodic behaviour in tests.
-    // Wall-clock accounting only (events/sec reporting); the reading never
-    // feeds back into simulated time. Suppressed in lint-allow.toml (R2)
-    // and for clippy's disallowed-methods mirror of the same rule.
-    #[allow(clippy::disallowed_methods)]
     pub fn run_until_limited(&mut self, deadline: SimTime, event_limit: u64) -> RunOutcome {
-        let started = Instant::now();
-        let outcome = self.dispatch_until(deadline, event_limit);
-        self.wall_in_run += started.elapsed();
-        outcome
-    }
-
-    fn dispatch_until(&mut self, deadline: SimTime, event_limit: u64) -> RunOutcome {
         if self.sched_fifo {
             self.dispatch_until_fifo(deadline, event_limit)
         } else {
@@ -1371,7 +1338,7 @@ impl Simulation {
             Action::DeliverEof { ep } => self.handle_deliver_eof(ep),
             Action::TimerFire { timer } => self.handle_timer_fire(timer),
             Action::Notify { pid, event } => self.notify(pid, event),
-            // Batches are intercepted in `dispatch_until` (they carry
+            // Batches are intercepted in `run_until_limited` (they carry
             // their own event accounting); deliver element-wise if one
             // ever reaches here anyway.
             Action::NotifyBatch { pid, events } => {

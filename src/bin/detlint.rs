@@ -1,18 +1,7 @@
 //! `detlint` — checks the workspace against the determinism contract
 //! (DESIGN §9). See `lint::cli_main` for the flags.
-//!
-//! The lint library is itself inside the determinism contract (R1 bans
-//! ambient clocks in `crates/lint/src`), so the monotonic clock that
-//! `--timings` needs lives here, in the binary, and is injected.
-
-use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Wall-clock is fine here: the timings are diagnostics about the lint
-    // run itself and never feed simulated behaviour or a digest.
-    #[allow(clippy::disallowed_methods)]
-    let start = Instant::now();
-    let now_nanos = move || u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    std::process::exit(lint::cli_main_with_clock(&args, &now_nanos));
+    std::process::exit(lint::cli_main(&args));
 }

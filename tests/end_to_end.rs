@@ -3,7 +3,7 @@
 //! must exhibit the paper's qualitative results on short runs.
 
 use mead_repro::experiments::{
-    failover_episodes_ms, run_scenario, steady_state_rtt_ms, ScenarioConfig,
+    failover_episodes_ms, fig5_point, run_scenario, steady_state_rtt_ms, ScenarioConfig,
 };
 use mead_repro::mead::RecoveryScheme;
 
@@ -143,6 +143,40 @@ fn mead_failover_is_several_times_faster_than_reactive() {
         base,
         mead
     );
+}
+
+#[test]
+fn mead_redirect_fails_over_in_under_half_the_location_forward_time() {
+    // The interceptor-level dup2 redirect against the ORB-level reconnect
+    // that LOCATION_FORWARD needs (Table 1 fail-over column).
+    let mean_failover = |scheme| {
+        let eps = failover_episodes_ms(&run_scenario(&quick(scheme, 1500)), scheme);
+        assert!(!eps.is_empty(), "{}: no fail-over episodes", scheme.name());
+        eps.iter().sum::<f64>() / eps.len() as f64
+    };
+    let mead = mean_failover(RecoveryScheme::MeadFailover);
+    let lf = mean_failover(RecoveryScheme::LocationForward);
+    assert!(
+        mead * 2.0 < lf,
+        "MEAD fail-over {mead:.2} ms must be under half of LOCATION_FORWARD's {lf:.2} ms"
+    );
+}
+
+#[test]
+fn fig5_bandwidth_falls_as_the_threshold_rises() {
+    let mut last = f64::INFINITY;
+    for pct in [20u32, 40, 60, 80] {
+        let out = run_scenario(&ScenarioConfig {
+            threshold: Some(f64::from(pct) / 100.0),
+            ..quick(RecoveryScheme::MeadFailover, 1500)
+        });
+        let bandwidth = fig5_point(RecoveryScheme::MeadFailover, pct, &out).bandwidth_bytes_per_sec;
+        assert!(
+            bandwidth < last,
+            "threshold {pct}%: {bandwidth:.0} B/s, not below {last:.0} B/s"
+        );
+        last = bandwidth;
+    }
 }
 
 #[test]
