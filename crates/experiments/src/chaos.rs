@@ -31,23 +31,24 @@ use std::rc::Rc;
 use faults::{FaultEvent, FaultKind, FaultPlan, PlanSpace, PressureConfig};
 use giop::Ior;
 use giop::{CdrReader, CdrWriter, Endian};
-use groupcomm::{GcsClient, GcsConfig, GcsDaemon, GcsDelivery, GCS_PORT};
+use groupcomm::{GcsClient, GcsDelivery};
 use mead::{
     ClientInterceptor, MeadConfig, RecoveryManager, RecoveryScheme, ReplicaApp, ReplicaFactory,
     ServerInterceptor, StateHooks,
 };
 use orb::{
     decode_counter_reply, decode_resolve_reply, encode_increment_once, encode_name, naming_ior,
-    ClientOrb, ClientOrbConfig, Completed, DedupCounterServant, DedupState, NamingConfig,
-    NamingService, OrbUpshot, RetryPolicy, RetryState, Servant, SystemException, COUNTER_TYPE_ID,
+    ClientOrb, ClientOrbConfig, Completed, DedupCounterServant, DedupState, OrbUpshot, RetryPolicy,
+    RetryState, Servant, SystemException, COUNTER_TYPE_ID,
 };
 use simnet::{
-    Addr, Event, ExitReason, FifoScheduler, LossModel, Metrics, NodeId, NoiseModel, Process,
-    Scheduler, SimConfig, SimDuration, SimTime, Simulation, SysApi,
+    Event, ExitReason, FifoScheduler, LossModel, Metrics, NodeId, NoiseModel, Process, Scheduler,
+    SimConfig, SimDuration, SimTime, Simulation, SysApi,
 };
 
 use crate::counter::counter_key;
 use crate::runner::run_batch_with;
+use crate::world::World;
 
 /// Timer tokens of the chaos client (the interceptor namespace starts at
 /// `1 << 62`, far above these).
@@ -701,29 +702,9 @@ pub fn run_chaos_plan_with(
         scheduler,
     );
     let slots = cfg.slots.max(1);
-    let infra = sim.add_node("node0");
-    let servers: Vec<NodeId> = (1..=slots)
-        .map(|i| sim.add_node(&format!("node{i}")))
-        .collect();
-    let client_node = sim.add_node(&format!("node{}", slots + 1));
-    let nodes: Vec<NodeId> = std::iter::once(infra)
-        .chain(servers.iter().copied())
-        .chain([client_node])
-        .collect();
-
-    let seq = Addr::new(infra, GCS_PORT);
-    for &node in &nodes {
-        sim.spawn(
-            node,
-            "gcs-daemon",
-            Box::new(GcsDaemon::new(seq, GcsConfig::default())),
-        );
-    }
-    sim.spawn(
-        infra,
-        "naming",
-        Box::new(NamingService::new(NamingConfig::default())),
-    );
+    let world = World::build(&mut sim, slots, 1);
+    let infra = world.infra();
+    let servers = world.servers();
 
     let mut mead_cfg = MeadConfig::builder(cfg.scheme).build();
     mead_cfg.checkpoint_interval = SimDuration::from_millis(50);
@@ -776,12 +757,12 @@ pub fn run_chaos_plan_with(
     });
     for instance in 0..cfg.rm_instances.max(1) {
         let rm = if cfg.rm_instances <= 1 {
-            RecoveryManager::new(mead_cfg.clone(), slots, servers.clone(), factory.clone())
+            RecoveryManager::new(mead_cfg.clone(), slots, servers.to_vec(), factory.clone())
         } else {
             RecoveryManager::replicated(
                 mead_cfg.clone(),
                 slots,
-                servers.clone(),
+                servers.to_vec(),
                 factory.clone(),
                 instance,
             )
@@ -816,7 +797,7 @@ pub fn run_chaos_plan_with(
     let gave_up = Rc::new(Cell::new(false));
     let crowd_acked = Rc::new(Cell::new(0u64));
     sim.spawn(
-        client_node,
+        world.clients()[0],
         "chaos-client",
         Box::new(ClientInterceptor::new(
             mead_cfg.clone(),
@@ -914,7 +895,7 @@ pub fn run_chaos_plan_with(
                 obs::EventKind::FaultInjected { fault: kind.name() },
             );
         }
-        apply(&mut sim, &nodes, seq, slots, action, &crowd_acked);
+        apply(&mut sim, &world, action, &crowd_acked);
     }
     // Defensive settling: plans guarantee their own heals, but make the
     // post-plan world explicit before judging recovery.
@@ -1038,14 +1019,7 @@ pub fn run_chaos_plan_with(
 }
 
 /// Applies one timeline action to the running simulation.
-fn apply(
-    sim: &mut Simulation,
-    nodes: &[NodeId],
-    seq: Addr,
-    slots: u32,
-    action: Action,
-    crowd_acked: &Rc<Cell<u64>>,
-) {
+fn apply(sim: &mut Simulation, world: &World, action: Action, crowd_acked: &Rc<Cell<u64>>) {
     match action {
         Action::Inject(FaultKind::CrashReplica { slot }) => {
             let label = format!("replica-s{slot}");
@@ -1065,16 +1039,16 @@ fn apply(
             kill_first_labeled(sim, &format!("replica-s{slot}"), None);
         }
         Action::Inject(FaultKind::AsymmetricPartition { from, to, .. }) => {
-            sim.partition_oneway(nodes[from as usize], nodes[to as usize]);
+            sim.partition_oneway(world.node(from), world.node(to));
         }
         Action::HealOneway(from, to) => {
-            sim.heal_oneway(nodes[from as usize], nodes[to as usize]);
+            sim.heal_oneway(world.node(from), world.node(to));
         }
         Action::Inject(FaultKind::JitteryLink { a, b, bound, .. }) => {
-            sim.set_link_jitter(nodes[a as usize], nodes[b as usize], bound);
+            sim.set_link_jitter(world.node(a), world.node(b), bound);
         }
         Action::ClearJitter(a, b) => {
-            sim.set_link_jitter(nodes[a as usize], nodes[b as usize], SimDuration::ZERO);
+            sim.set_link_jitter(world.node(a), world.node(b), SimDuration::ZERO);
         }
         Action::Inject(FaultKind::FlashCrowd { .. }) => {
             // Arrivals are unfolded into `SpawnCrowd` entries; the inject
@@ -1086,19 +1060,18 @@ fn apply(
             // same instant.
         }
         Action::SpawnCrowd { index, reads } => {
-            let client_node = *nodes.last().expect("topology has a client node");
-            let infra = nodes[0];
+            let slots = world.servers().len() as u32;
             sim.spawn(
-                client_node,
+                world.clients()[0],
                 &format!("crowd-client-{index}"),
                 Box::new(CrowdClient {
                     orb: ClientOrb::new(ClientOrbConfig::default()),
-                    naming_node: infra,
+                    naming_node: world.infra(),
                     target: None,
                     naming_rid: None,
                     current_rid: None,
                     remaining: reads,
-                    slot_rr: index % slots.max(1),
+                    slot_rr: index % slots,
                     slots,
                     policy: RetryPolicy::client_default(),
                     retry: RetryState::new(),
@@ -1116,7 +1089,7 @@ fn apply(
             // there are stranded from the group and must die with the
             // daemon (their slots get relaunched by the RM). The RM
             // standbys survive: their client re-attaches after respawn.
-            let node_id = nodes[node as usize];
+            let node_id = world.node(node);
             kill_first_labeled(sim, "gcs-daemon", Some(node_id));
             while kill_first_labeled(sim, "replica-s", Some(node_id)) {}
         }
@@ -1124,7 +1097,7 @@ fn apply(
             kill_first_labeled(sim, "naming", None);
         }
         Action::Inject(FaultKind::Partition { a, b, .. }) => {
-            sim.partition(nodes[a as usize], nodes[b as usize]);
+            sim.partition(world.node(a), world.node(b));
         }
         Action::Inject(FaultKind::LossBurst { probability, .. }) => {
             sim.set_loss(LossModel {
@@ -1133,22 +1106,12 @@ fn apply(
             });
         }
         Action::RespawnDaemon(node) => {
-            sim.spawn(
-                nodes[node as usize],
-                "gcs-daemon",
-                Box::new(GcsDaemon::new(seq, GcsConfig::default())),
-            );
+            world.spawn_daemon(sim, world.node(node));
         }
         Action::RespawnNaming => {
-            // The naming store is in-memory: the restarted instance
-            // comes back empty and relies on replica re-binds.
-            sim.spawn(
-                nodes[0],
-                "naming",
-                Box::new(NamingService::new(NamingConfig::default())),
-            );
+            world.spawn_naming(sim);
         }
-        Action::Heal(a, b) => sim.heal(nodes[a as usize], nodes[b as usize]),
+        Action::Heal(a, b) => sim.heal(world.node(a), world.node(b)),
         Action::EndBurst => sim.set_loss(LossModel::none()),
     }
 }

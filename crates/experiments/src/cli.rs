@@ -142,12 +142,25 @@ pub fn resolve_threads(flag: Option<usize>) -> usize {
 }
 
 /// Parses positional argument `index` as a `T`, falling back to
-/// `default` when absent or unparsable (the bins' historical
-/// `args.first().and_then(parse).unwrap_or(default)` idiom).
+/// `default` when it is absent. An argument that is present but does not
+/// parse (`1e4`, a misspelt flag) prints a usage message and exits with
+/// status 2 rather than silently running the default.
 pub fn positional_or<T: std::str::FromStr>(args: &[String], index: usize, default: T) -> T {
-    args.get(index)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    parse_positional(args, index, default).unwrap_or_else(|e| usage(&e.0))
+}
+
+/// The non-exiting core of [`positional_or`].
+fn parse_positional<T: std::str::FromStr>(
+    args: &[String],
+    index: usize,
+    default: T,
+) -> Result<T, CliError> {
+    match args.get(index) {
+        None => Ok(default),
+        Some(s) => s
+            .parse()
+            .map_err(|_| CliError(format!("cannot parse argument `{s}`"))),
+    }
 }
 
 /// Removes a bin-specific `--flag VALUE` / `--flag=VALUE` pair from the
@@ -238,11 +251,16 @@ mod tests {
     }
 
     #[test]
-    fn positional_or_falls_back() {
+    fn positional_parses_defaults_when_absent_and_rejects_garbage() {
         let args = argv(&["250", "nope"]);
-        assert_eq!(positional_or(&args, 0, 10u32), 250);
-        assert_eq!(positional_or(&args, 1, 10u32), 10);
-        assert_eq!(positional_or(&args, 5, 7u64), 7);
+        assert_eq!(parse_positional(&args, 0, 10u32), Ok(250));
+        assert_eq!(parse_positional(&args, 5, 7u64), Ok(7));
+        assert!(parse_positional(&args, 1, 10u32).is_err());
+        // `table1 1e4` and `table1 --tracee t.jsonl` must not silently
+        // run the default invocation count.
+        assert!(parse_positional(&argv(&["1e4"]), 0, 10_000u32).is_err());
+        let typo = parse_args(argv(&["--tracee", "t.jsonl"])).unwrap();
+        assert!(parse_positional(&typo.rest, 0, 10_000u32).is_err());
     }
 
     #[test]

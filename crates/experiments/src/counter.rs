@@ -1,25 +1,26 @@
 //! Stateful warm-passive scenario: a replicated counter with real
-//! checkpoint-based state transfer (extension beyond the paper's
-//! stateless evaluation workload; see `DESIGN.md` §8).
+//! checkpoint-based state transfer on the paper topology ([`World`]),
+//! an extension beyond the paper's stateless evaluation workload (see
+//! `DESIGN.md` §8). `examples/stateful_counter.rs` drives it.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use giop::{Ior, ObjectKey};
-use groupcomm::{GcsConfig, GcsDaemon, GCS_PORT};
 use mead::{
     ClientInterceptor, MeadConfig, RecoveryManager, RecoveryScheme, ReplicaApp, ReplicaFactory,
     ServerInterceptor, StateHooks,
 };
 use orb::{
     decode_counter_reply, decode_resolve_reply, encode_increment, encode_name, naming_ior,
-    ClientOrb, ClientOrbConfig, NamingConfig, NamingService, OrbUpshot, SharedCounterServant,
-    COUNTER_TYPE_ID,
+    ClientOrb, ClientOrbConfig, OrbUpshot, SharedCounterServant, COUNTER_TYPE_ID,
 };
 use simnet::{
-    Addr, Event, Metrics, NodeId, NoiseModel, Process, SimConfig, SimDuration, SimTime, Simulation,
+    Event, Metrics, NodeId, NoiseModel, Process, SimConfig, SimDuration, SimTime, Simulation,
     SysApi,
 };
+
+use crate::world::World;
 
 /// The persistent key of the replicated counter object.
 pub fn counter_key() -> ObjectKey {
@@ -188,25 +189,8 @@ pub fn run_counter_scenario(cfg: &CounterConfig) -> CounterOutcome {
         noise: NoiseModel::none(),
         ..SimConfig::default()
     });
-    let infra = sim.add_node("node0");
-    let servers: Vec<NodeId> = (1..=3).map(|i| sim.add_node(&format!("node{i}"))).collect();
-    let client_node = sim.add_node("node4");
-    let seq = Addr::new(infra, GCS_PORT);
-    for node in std::iter::once(infra)
-        .chain(servers.iter().copied())
-        .chain([client_node])
-    {
-        sim.spawn(
-            node,
-            "gcs",
-            Box::new(GcsDaemon::new(seq, GcsConfig::default())),
-        );
-    }
-    sim.spawn(
-        infra,
-        "naming",
-        Box::new(NamingService::new(NamingConfig::default())),
-    );
+    let world = World::build(&mut sim, 3, 1);
+    let infra = world.infra();
 
     let mut mead_cfg = MeadConfig::builder(RecoveryScheme::MeadFailover).build();
     mead_cfg.checkpoint_interval = cfg.checkpoint_interval;
@@ -239,14 +223,19 @@ pub fn run_counter_scenario(cfg: &CounterConfig) -> CounterOutcome {
     sim.spawn(
         infra,
         "recovery-manager",
-        Box::new(RecoveryManager::new(mead_cfg.clone(), 3, servers, factory)),
+        Box::new(RecoveryManager::new(
+            mead_cfg.clone(),
+            3,
+            world.servers().to_vec(),
+            factory,
+        )),
     );
     sim.run_until(SimTime::from_millis(500));
 
     let values = Rc::new(RefCell::new(Vec::new()));
     let done = Rc::new(Cell::new(false));
     sim.spawn(
-        client_node,
+        world.clients()[0],
         "client",
         Box::new(ClientInterceptor::new(
             mead_cfg,

@@ -2,9 +2,10 @@
 //!
 //! Drivers for every table and figure of *Proactive Recovery in
 //! Distributed CORBA Applications* (DSN 2004); see `DESIGN.md` for the
-//! experiment index. The [`scenario`] module assembles the five-node
-//! topology; [`workload`] is the measuring client; the remaining modules
-//! each regenerate one artefact of section 5.
+//! experiment index. The [`world`] module assembles the five-node
+//! topology that [`scenario`], [`chaos`] and [`counter`] run on;
+//! [`workload`] is the measuring client; the remaining modules each
+//! regenerate one artefact of section 5.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +24,7 @@ pub mod scenario;
 pub mod stats;
 pub mod sweep;
 pub mod workload;
+pub mod world;
 
 pub use adaptive::{format_adaptive, run_adaptive_comparison, AdaptiveRow};
 pub use chaos::{
@@ -54,3 +56,4 @@ pub use sweep::{
 pub use workload::{
     ClientPolicy, ClientWorkload, InvocationRecord, ReportHandle, WorkloadConfig, WorkloadReport,
 };
+pub use world::World;

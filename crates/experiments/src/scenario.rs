@@ -1,28 +1,22 @@
-//! Scenario builder: assembles the paper's five-node Emulab topology on
-//! the simulator and runs one experiment.
-//!
-//! Topology (section 5): five nodes — three hosting the warm-passively
-//! replicated servers, one hosting the client, one hosting the Naming
-//! Service and the MEAD Recovery Manager. A group-communication daemon
-//! runs on every node (as Spread does), with the sequencer on the
-//! infrastructure node.
+//! One experiment on the paper's five-node Emulab topology
+//! ([`World`]): the time-of-day servers under a recovery scheme, the
+//! Recovery Manager on the infrastructure node, and the measuring
+//! client workloads.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use groupcomm::{GcsConfig, GcsDaemon, GCS_PORT};
 use mead::{
     ClientInterceptor, MeadConfig, RecoveryManager, RecoveryScheme, ReplicaApp, ReplicaFactory,
     ServerInterceptor,
 };
-use orb::{NamingConfig, NamingService};
 use simnet::{
-    Addr, LossModel, Metrics, NodeId, NoiseModel, RunOutcome, SimConfig, SimDuration, SimTime,
-    Simulation,
+    LossModel, Metrics, NoiseModel, RunOutcome, SimConfig, SimDuration, SimTime, Simulation,
 };
 
 use crate::chaos::Fnv;
 use crate::workload::{ClientPolicy, ClientWorkload, ReportHandle, WorkloadConfig, WorkloadReport};
+use crate::world::World;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -253,43 +247,13 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
     let mut sim = Simulation::new(sim_cfg);
     sim.set_trace_level(mead_cfg.trace_level);
 
-    // Nodes: 0 = infrastructure (naming + recovery manager + sequencer),
-    // 1..=3 = servers, 4 = client.
-    let infra = sim.add_node("node0");
-    let server_nodes: Vec<NodeId> = (1..=cfg.replicas.max(1))
-        .map(|i| sim.add_node(&format!("node{i}")))
-        .collect();
-    // Fleet scenarios spread the client processes over several nodes;
-    // `client_nodes == 1` is the paper's single client node.
-    let client_nodes: Vec<NodeId> = (0..cfg.client_nodes.max(1))
-        .map(|i| sim.add_node(&format!("node{}", cfg.replicas + 1 + i)))
-        .collect();
-
-    // Group-communication daemons everywhere; sequencer on infra.
-    let seq_addr = Addr::new(infra, GCS_PORT);
-    for node in std::iter::once(infra)
-        .chain(server_nodes.iter().copied())
-        .chain(client_nodes.iter().copied())
-    {
-        sim.spawn(
-            node,
-            "gcs-daemon",
-            Box::new(GcsDaemon::new(seq_addr, GcsConfig::default())),
-        );
-    }
-
-    // Naming Service on the infrastructure node.
-    sim.spawn(
-        infra,
-        "naming",
-        Box::new(NamingService::new(NamingConfig::default())),
-    );
+    let world = World::build(&mut sim, cfg.replicas, cfg.client_nodes);
+    let infra = world.infra();
 
     // Recovery Manager with the replica factory.
     let factory_cfg = mead_cfg.clone();
-    let naming_node = infra;
     let factory: ReplicaFactory = Rc::new(move |spec| {
-        let app = ReplicaApp::time_server(spec.slot, spec.port, naming_node);
+        let app = ReplicaApp::time_server(spec.slot, spec.port, infra);
         Box::new(ServerInterceptor::new(
             factory_cfg.clone(),
             spec.slot,
@@ -302,7 +266,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         Box::new(RecoveryManager::new(
             mead_cfg.clone(),
             cfg.replicas,
-            server_nodes.clone(),
+            world.servers().to_vec(),
             factory,
         )),
     );
@@ -317,6 +281,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         RecoveryScheme::ReactiveCache => ClientPolicy::CachedReferences,
         _ => ClientPolicy::ResolveOnFailure,
     };
+    let clients = world.clients();
     let mut reports: Vec<ReportHandle> = Vec::new();
     for c in 0..cfg.clients.max(1) {
         let report: ReportHandle = Rc::new(RefCell::new(WorkloadReport::default()));
@@ -335,7 +300,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         } else {
             Box::new(workload)
         };
-        let node = client_nodes[c as usize % client_nodes.len()];
+        let node = clients[c as usize % clients.len()];
         sim.spawn(node, &format!("client-{c}"), client_proc);
         reports.push(report);
     }
@@ -344,7 +309,8 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
     // Run until the workload completes; generous safety deadline (~6 ms
     // per invocation worst case, plus boot).
     if let Some((idx, at)) = cfg.crash_server_node_at {
-        let node = server_nodes[idx % server_nodes.len()];
+        let servers = world.servers();
+        let node = servers[idx % servers.len()];
         sim.run_until(at);
         sim.crash_node(node);
     }

@@ -49,5 +49,12 @@ fn sweep_digest_is_thread_count_independent() {
         }
         .digest()
     };
-    assert_eq!(run(1), run(4), "sweep digest depends on thread count");
+    let one = run(1);
+    assert_eq!(one, run(4), "sweep digest depends on thread count");
+    // Pinned: the trimmed smoke sweep is the workspace's guard on the
+    // chaos world builder, so its digest must not move with a refactor.
+    assert_eq!(
+        one, 0xa305_75ec_e295_8d6a,
+        "trimmed smoke sweep digest moved: {one:#018x}"
+    );
 }

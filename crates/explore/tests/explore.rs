@@ -11,11 +11,23 @@ use simnet::{DecisionTrace, ReplayScheduler};
 
 /// An empty choice prefix must reproduce the FIFO schedule exactly: the
 /// choosing dispatch path with all-default picks and the FIFO fast path
-/// are two implementations of the same total order.
+/// are two implementations of the same total order. The FIFO digests
+/// themselves are pinned, covering the chaos world at 2, 3 and 1 slots.
 #[test]
 fn empty_prefix_is_fifo_equivalent() {
-    for fixture in [fixtures::pair(), fixtures::trio(), fixtures::seeded_bug()] {
+    for (fixture, pinned) in [
+        (fixtures::pair(), 0x4ce7_1679_dd96_e600),
+        (fixtures::trio(), 0x2209_62ca_2569_a18b),
+        (fixtures::seeded_bug(), 0xe8b8_08e0_2455_68a7),
+    ] {
         let fifo = run_chaos_plan(&fixture.plan, &fixture.chaos);
+        assert_eq!(
+            fifo.digest(),
+            pinned,
+            "fixture {}: FIFO digest moved: {:#018x}",
+            fixture.name,
+            fifo.digest()
+        );
         let run = run_prefix(&fixture.plan, &fixture.chaos, fixture.gate, &[]);
         assert_eq!(
             fifo.digest(),

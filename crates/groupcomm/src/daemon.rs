@@ -73,18 +73,6 @@ impl Default for GcsConfig {
     }
 }
 
-impl GcsConfig {
-    /// A configuration with instantaneous membership agreement, for tests
-    /// that assert on view timing.
-    pub fn instant_membership() -> Self {
-        GcsConfig {
-            membership_delay_min: SimDuration::ZERO,
-            membership_delay_max: SimDuration::ZERO,
-            ..GcsConfig::default()
-        }
-    }
-}
-
 #[derive(Debug)]
 enum ConnKind {
     /// Accepted, protocol not yet identified.

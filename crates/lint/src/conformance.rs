@@ -59,6 +59,7 @@ impl Default for ConformanceConfig {
             // offline inspection, deliberately not part of the fail-over
             // breakdown. Reviewed when `obs::breakdown` grows new stages.
             report_only: strs(&[
+                // Gone from obs; kept for perfbench's frozen corpus, which still has them.
                 "SpanStart",
                 "SpanEnd",
                 "ConnectAttempt",

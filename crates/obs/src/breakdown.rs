@@ -17,7 +17,7 @@
 //! measured from the crash (`Exit{crashed}`) the client is reacting to.
 
 use crate::event::{EventKind, TraceEvent};
-use crate::span::Phase;
+use crate::phase::Phase;
 
 /// One reconstructed fail-over episode (all times sim-nanoseconds).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

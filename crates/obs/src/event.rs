@@ -1,6 +1,6 @@
 //! The trace event taxonomy.
 
-use crate::span::{Phase, SpanId};
+use crate::phase::Phase;
 
 /// What happened. Kernel lifecycle, recovery phases, retries and decoded
 /// frames share one ordered stream so cross-layer causality is visible.
@@ -8,18 +8,6 @@ use crate::span::{Phase, SpanId};
 pub enum EventKind {
     /// A typed recovery phase (see [`Phase`]).
     Phase(Phase),
-    /// A span opened.
-    SpanStart {
-        /// The id the matching `SpanEnd` will carry.
-        id: SpanId,
-        /// What the span covers.
-        name: &'static str,
-    },
-    /// A span closed.
-    SpanEnd {
-        /// Id allocated by the matching `SpanStart`.
-        id: SpanId,
-    },
     /// A process initiated a connection.
     ConnectAttempt {
         /// Destination node index.
@@ -127,13 +115,10 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable lower-snake name of the variant, used as the JSONL `ev` tag
-    /// and by the in-memory aggregator.
+    /// Stable lower-snake name of the variant, used as the JSONL `ev` tag.
     pub fn name(&self) -> &'static str {
         match self {
             EventKind::Phase(p) => p.name(),
-            EventKind::SpanStart { .. } => "span_start",
-            EventKind::SpanEnd { .. } => "span_end",
             EventKind::ConnectAttempt { .. } => "connect_attempt",
             EventKind::ConnectOutcome { .. } => "connect_outcome",
             EventKind::Partition { .. } => "partition",

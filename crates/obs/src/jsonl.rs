@@ -6,7 +6,7 @@
 //! the `--threads 1/4` bit-identity test leans on.
 
 use crate::event::{EventKind, TraceEvent};
-use crate::span::Phase;
+use crate::phase::Phase;
 
 /// Appends `s` to `out` as a JSON string literal (quotes included).
 pub fn push_json_str(out: &mut String, s: &str) {
@@ -41,14 +41,6 @@ pub fn push_event_line(out: &mut String, ev: &TraceEvent) {
             if let Phase::ThresholdCrossed { step } = p {
                 let _ = write!(out, ",\"step\":{step}");
             }
-        }
-        EventKind::SpanStart { id, name } => {
-            let _ = write!(out, ",\"span\":{}", id.0);
-            out.push_str(",\"name\":");
-            push_json_str(out, name);
-        }
-        EventKind::SpanEnd { id } => {
-            let _ = write!(out, ",\"span\":{}", id.0);
         }
         EventKind::ConnectAttempt { to_node, port } => {
             let _ = write!(out, ",\"to_node\":{to_node},\"port\":{}", port);
@@ -115,7 +107,6 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanId;
 
     #[test]
     fn escapes_specials() {
@@ -141,15 +132,15 @@ mod tests {
     }
 
     #[test]
-    fn span_and_frame_lines() {
+    fn spawn_and_frame_lines() {
         let e1 = TraceEvent {
             seq: 0,
             at_ns: 0,
             node: 0,
             pid: 0,
-            kind: EventKind::SpanStart {
-                id: SpanId(1),
-                name: "redirect",
+            kind: EventKind::Spawn {
+                node: 1,
+                label: "naming".into(),
             },
         };
         let e2 = TraceEvent {
@@ -164,7 +155,7 @@ mod tests {
             },
         };
         let out = to_jsonl(&[e1, e2]);
-        assert!(out.contains("\"ev\":\"span_start\",\"span\":1,\"name\":\"redirect\""));
+        assert!(out.contains("\"ev\":\"spawn\",\"on\":1,\"label\":\"naming\""));
         assert!(out.contains("\"proto\":\"mead\",\"frame\":\"failover_notice\",\"len\":128"));
         assert_eq!(out.lines().count(), 2);
     }

@@ -5,12 +5,11 @@
 //! reconnection → first successful reply) for each migration scheme. This
 //! crate turns every simulated run into an attributable latency story:
 //!
-//! * [`span`] — typed recovery phases ([`Phase`]) and span ids, the
-//!   vocabulary shared by the simnet kernel, both MEAD interceptors, the
-//!   Recovery Manager and the ORB retry path;
-//! * [`Recorder`] — the in-memory aggregator: an ordered trace of
-//!   [`TraceEvent`]s plus counters, gauges and HDR-style fixed-bucket
-//!   [`Histogram`]s;
+//! * [`Phase`] — typed recovery phases, the vocabulary shared by the
+//!   simnet kernel, both MEAD interceptors, the Recovery Manager and the
+//!   ORB retry path;
+//! * [`Recorder`] — the in-memory, ordered trace of [`TraceEvent`]s
+//!   (run metrics live in `simnet::Metrics`);
 //! * [`jsonl`] — a hand-rolled (dependency-free) JSON-lines sink;
 //! * [`breakdown`] — reconstruction of the paper's per-scheme fail-over
 //!   stage table from a trace;
@@ -28,14 +27,12 @@
 pub mod breakdown;
 mod codec;
 mod event;
-mod hist;
 pub mod jsonl;
+mod phase;
 mod record;
-pub mod span;
 
 pub use breakdown::{episodes, stage_table, Episode, StageStats, STAGE_NAMES};
 pub use codec::{CodecError, WireCodec};
 pub use event::{EventKind, TraceEvent};
-pub use hist::Histogram;
+pub use phase::Phase;
 pub use record::{Recorder, TraceLevel};
-pub use span::{Phase, SpanId};

@@ -7,8 +7,8 @@
 //!   bandwidth), and
 //! * ad-hoc time series recorded by processes (round-trip samples).
 //!
-//! All of it lives in [`Metrics`], owned by the kernel and shared with the
-//! driving experiment through `Rc<RefCell<..>>` handles.
+//! All of it lives in [`Metrics`], owned by the kernel; the driving
+//! experiment reads it through `Simulation::with_metrics`.
 
 use std::collections::BTreeMap;
 

@@ -361,12 +361,6 @@ impl Simulation {
         }
     }
 
-    /// Choice points surfaced to the scheduler so far (always 0 under
-    /// the default [`FifoScheduler`]).
-    pub fn choice_points(&self) -> u64 {
-        self.sched_steps
-    }
-
     /// Adds a node (host) and returns its id.
     pub fn add_node(&mut self, name: &str) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
@@ -742,11 +736,6 @@ impl Simulation {
     /// Number of events dispatched so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Shared handle to the metrics store (clone to keep after the run).
-    pub fn metrics_handle(&self) -> Rc<RefCell<Metrics>> {
-        Rc::clone(&self.metrics)
     }
 
     /// Shared handle to the observability recorder (clone to keep the

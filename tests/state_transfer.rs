@@ -2,8 +2,27 @@
 //! counter's value must substantially survive proactive fail-overs via
 //! checkpoints, with bounded loss per hand-off.
 
-use mead_repro::experiments::{run_counter_scenario, CounterConfig};
+use mead_repro::experiments::{run_counter_scenario, CounterConfig, CounterOutcome};
 use mead_repro::simnet::SimDuration;
+
+/// 64-bit FNV-1a over the acknowledged values and every metric counter:
+/// a byte-level fingerprint of one counter run.
+fn fingerprint(out: &CounterOutcome) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for v in &out.values {
+        feed(&v.to_le_bytes());
+    }
+    for (name, value) in out.metrics.counters() {
+        feed(name.as_bytes());
+        feed(&value.to_le_bytes());
+    }
+    h
+}
 
 #[test]
 fn counter_state_survives_failovers_with_bounded_loss() {
@@ -37,6 +56,18 @@ fn counter_state_survives_failovers_with_bounded_loss() {
     assert!(
         final_value <= sent,
         "counter can never exceed the acknowledged increments"
+    );
+    // Pinned at the default seed: the counter world must not move.
+    assert_eq!(
+        (out.values.len(), final_value, out.regressions()),
+        (2000, 1927, 6),
+        "counter run moved"
+    );
+    assert_eq!(
+        fingerprint(&out),
+        0xfc20_088a_b073_6d51,
+        "counter fingerprint moved: {:#018x}",
+        fingerprint(&out)
     );
 }
 
