@@ -1,21 +1,36 @@
 //! Regenerates Figure 4: RTT traces of the proactive recovery schemes at
-//! the 80 % threshold. Writes `results/fig4_<scheme>.csv`.
+//! the 80 % threshold.
 //!
-//! Usage: `fig4 [--threads N] [--trace out.jsonl] [invocations]`
+//! Usage: `fig4 [--threads N] [--trace out.jsonl] [--write] [invocations]`
+//!
+//! Prints ASCII previews; only `--write` (re)writes
+//! `results/fig4_<scheme>.csv`, so a quick run at a small count
+//! cannot replace the committed data.
 
-use experiments::{cli_from_args, positional_or, run_fig4, trace_ascii, trace_csv};
+use experiments::{
+    cli_from_args, expect_positionals, positional_or, run_fig4, take_switch, trace_ascii, trace_csv,
+};
 
 fn main() {
-    let cli = cli_from_args();
+    let mut cli = cli_from_args();
+    let write = take_switch(&mut cli.args, "--write");
+    expect_positionals(&cli.args, 1);
     let invocations: u32 = positional_or(&cli.args, 0, 10_000);
-    std::fs::create_dir_all("results").expect("create results dir");
     let traces = run_fig4(invocations, 42, cli.threads);
+    if write {
+        std::fs::create_dir_all("results").expect("create results dir");
+    }
     for trace in &traces {
         let name = trace.scheme.name().replace(' ', "_").to_lowercase();
         let path = format!("results/fig4_{name}.csv");
-        std::fs::write(&path, trace_csv(&trace.outcome)).expect("write csv");
+        let target = if write {
+            std::fs::write(&path, trace_csv(&trace.outcome)).expect("write csv");
+            format!(" -> {path}")
+        } else {
+            String::new()
+        };
         println!(
-            "\n=== Figure 4: {} (RTT, 0-20ms scale) -> {path} ===",
+            "\n=== Figure 4: {} (RTT, 0-20ms scale){target} ===",
             trace.scheme.name()
         );
         println!("{}", trace_ascii(&trace.outcome, 40, 20.0));

@@ -145,7 +145,7 @@ impl Servant for NoDedupCounterServant {
         let mut reply = CdrWriter::new(Endian::Big);
         match operation {
             "increment_once" => {
-                let mut r = CdrReader::new(body.to_vec().into(), Endian::Big);
+                let mut r = CdrReader::new(body, Endian::Big);
                 let parsed = r
                     .read_u64()
                     .and_then(|op| r.read_u64().map(|delta| (op, delta)));
@@ -163,11 +163,11 @@ impl Servant for NoDedupCounterServant {
                 self.state.restore(&snapshot);
                 sys.count("counter.increments", 1);
                 reply.write_u64(self.state.value());
-                Ok(reply.finish().to_vec())
+                Ok(reply.finish())
             }
             "get" => {
                 reply.write_u64(self.state.value());
-                Ok(reply.finish().to_vec())
+                Ok(reply.finish())
             }
             _ => Err(SystemException::Other {
                 repo_id: "IDL:omg.org/CORBA/BAD_OPERATION:1.0".into(),
@@ -268,7 +268,7 @@ impl ChaosOutcome {
         }
         h.u64(self.finished_at.as_nanos());
         h.u64(self.events_processed);
-        h.bytes(obs::jsonl::to_jsonl(&self.trace).as_bytes());
+        h.jsonl(&self.trace);
         h.finish()
     }
 }
@@ -288,6 +288,17 @@ impl Fnv {
     }
     pub(crate) fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
+    }
+    /// Hashes `trace` as its JSONL serialisation, one line at a time
+    /// through one reused buffer: the bytes of `obs::jsonl::to_jsonl`,
+    /// without building that string.
+    pub(crate) fn jsonl(&mut self, trace: &[obs::TraceEvent]) {
+        let mut line = String::new();
+        for ev in trace {
+            line.clear();
+            obs::jsonl::push_event_line(&mut line, ev);
+            self.bytes(line.as_bytes());
+        }
     }
     pub(crate) fn finish(&self) -> u64 {
         self.0
@@ -1014,7 +1025,7 @@ pub fn run_chaos_plan_with(
         metrics,
         finished_at: sim.now(),
         events_processed: sim.events_processed(),
-        trace: sim.with_recorder(|r| r.events().to_vec()),
+        trace: sim.take_trace(),
     }
 }
 

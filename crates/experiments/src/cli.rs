@@ -188,6 +188,37 @@ pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     None
 }
 
+/// Removes a boolean `--flag` switch from the positional remainder;
+/// `true` when it was present.
+pub fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != flag);
+    args.len() != before
+}
+
+/// Rejects arguments a bin does not understand: any `--flag` left after
+/// the bin took its own, and more than `max` positional arguments. Prints
+/// the usage message and exits with status 2.
+pub fn expect_positionals(args: &[String], max: usize) {
+    if let Err(e) = check_positionals(args, max) {
+        usage(&e.0);
+    }
+}
+
+/// The non-exiting core of [`expect_positionals`].
+fn check_positionals(args: &[String], max: usize) -> Result<(), CliError> {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(CliError(format!("unknown flag `{flag}`")));
+    }
+    if args.len() > max {
+        return Err(CliError(format!(
+            "expected at most {max} positional argument(s), got {}",
+            args.len()
+        )));
+    }
+    Ok(())
+}
+
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
@@ -261,6 +292,18 @@ mod tests {
         assert!(parse_positional(&argv(&["1e4"]), 0, 10_000u32).is_err());
         let typo = parse_args(argv(&["--tracee", "t.jsonl"])).unwrap();
         assert!(parse_positional(&typo.rest, 0, 10_000u32).is_err());
+    }
+
+    #[test]
+    fn switches_are_taken_and_leftovers_rejected() {
+        let mut args = argv(&["500", "--write"]);
+        assert!(take_switch(&mut args, "--write"));
+        assert_eq!(args, argv(&["500"]));
+        assert!(!take_switch(&mut args, "--write"));
+        assert_eq!(check_positionals(&args, 1), Ok(()));
+        assert!(check_positionals(&argv(&["500", "--wirte"]), 1).is_err());
+        assert!(check_positionals(&argv(&["500", "600"]), 1).is_err());
+        assert_eq!(check_positionals(&[], 1), Ok(()));
     }
 
     #[test]

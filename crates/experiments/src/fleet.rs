@@ -19,10 +19,14 @@
 //!   parallelism — and the fleet digest is bit-identical at every thread
 //!   count.
 //!
-//! This family is the kernel-bound workload the slab/timing-wheel kernel
-//! (DESIGN §11) is built for: tens of thousands of live processes,
-//! endpoints and timers make every O(log n) table walk visible. The
-//! `fleet` workload of `perfbench/` measures it.
+//! Most of this family's *logical* events are kernel notifications: a
+//! busy server's backlog is re-parked again and again. The kernel
+//! coalesces each re-park into one `NotifyBatch` entry (DESIGN §11), so
+//! those events cost little wall time, and the family is handler-bound:
+//! its time goes to the processes' handlers (ORB, MEAD interceptors, GCS
+//! daemons and their codecs), not to the kernel's queue. The `fleet`
+//! workload of `perfbench/` measures it in simulated invocations per
+//! wall-second.
 
 use mead::RecoveryScheme;
 use simnet::SimTime;

@@ -32,7 +32,10 @@ pub use chaos::{
     run_chaos_plan_with, CampaignConfig, CampaignOutcome, ChaosConfig, ChaosOutcome,
     ServantMutation,
 };
-pub use cli::{cli_from_args, positional_or, render_trace_sections, take_flag, Cli};
+pub use cli::{
+    cli_from_args, expect_positionals, positional_or, render_trace_sections, take_flag,
+    take_switch, Cli,
+};
 pub use counter::{counter_key, run_counter_scenario, CounterConfig, CounterOutcome};
 pub use failover::{
     failover_row, failover_row_from, failover_rows, format_failover, model_budget, FailoverRow,

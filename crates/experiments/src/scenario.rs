@@ -207,7 +207,7 @@ impl ScenarioOutcome {
                 h.u64(rec.len);
             }
         }
-        h.bytes(self.trace_jsonl().as_bytes());
+        h.jsonl(&self.trace);
         h.u64(self.finished_at.as_nanos());
         h.u64(self.workload_start.as_nanos());
         h.u64(self.events_processed);
@@ -331,7 +331,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
     }
 
     let metrics = sim.with_metrics(|m| m.clone());
-    let trace = sim.with_recorder(|r| r.events().to_vec());
+    let trace = sim.take_trace();
     let all_reports: Vec<WorkloadReport> = reports.iter().map(|r| r.borrow().clone()).collect();
     ScenarioOutcome {
         report: all_reports[0].clone(),

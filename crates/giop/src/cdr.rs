@@ -12,7 +12,7 @@
 
 use core::fmt;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::BufMut;
 
 /// Byte order of a CDR stream, carried in the GIOP header flags.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -93,21 +93,37 @@ pub fn wire_len(len: usize) -> u32 {
 /// w.write_u32(7);
 /// w.write_string("tick");
 /// let bytes = w.finish();
-/// let mut r = CdrReader::new(bytes, Endian::Little);
+/// let mut r = CdrReader::new(&bytes, Endian::Little);
 /// assert_eq!(r.read_u32().unwrap(), 7);
 /// assert_eq!(r.read_string().unwrap(), "tick");
 /// ```
 #[derive(Debug)]
 pub struct CdrWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    /// Length of the reserved header in front of the body; alignment
+    /// counts from here.
+    base: usize,
     endian: Endian,
 }
 
 impl CdrWriter {
     /// Creates an encoder producing `endian`-ordered output.
     pub fn new(endian: Endian) -> Self {
+        Self::framed(endian, 0)
+    }
+
+    /// Creates an encoder whose output starts with `header` zero bytes
+    /// for the caller to fill in once the body length is known (a frame
+    /// header or length prefix). Alignment counts from the end of the
+    /// header, i.e. from the start of the body, exactly as if the body
+    /// had been encoded on its own; the whole frame is built in one
+    /// buffer.
+    pub fn framed(endian: Endian, header: usize) -> Self {
+        let mut buf = Vec::with_capacity(header.saturating_add(64));
+        buf.resize(header, 0);
         CdrWriter {
-            buf: BytesMut::with_capacity(64),
+            buf,
+            base: header,
             endian,
         }
     }
@@ -115,7 +131,7 @@ impl CdrWriter {
     /// Pads with zero bytes so the next value starts `align`-aligned.
     fn align(&mut self, align: usize) {
         let align = align.max(1);
-        let pos = self.buf.len();
+        let pos = self.len();
         let pad = (align - pos % align) % align;
         for _ in 0..pad {
             self.buf.put_u8(0);
@@ -183,35 +199,44 @@ impl CdrWriter {
         self.buf.put_slice(bytes);
     }
 
-    /// Current encoded length (useful for headers that carry body size).
+    /// Appends already-marshalled bytes verbatim: no length, no padding
+    /// (a GIOP body's parameters after its header fields).
+    pub fn write_raw(&mut self, bytes: &[u8]) {
+        self.buf.put_slice(bytes);
+    }
+
+    /// Current encoded body length (header excluded; useful for headers
+    /// that carry the body size).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len().saturating_sub(self.base)
     }
 
-    /// `true` when nothing has been written.
+    /// `true` when no body byte has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
-    /// Finalises and returns the encoded bytes.
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+    /// Finalises and returns the encoded bytes, including the header
+    /// reserved by [`CdrWriter::framed`].
+    pub fn finish(self) -> Vec<u8> {
+        self.buf
     }
 }
 
-/// A CDR decoder over a byte buffer.
+/// A CDR decoder over a borrowed byte buffer: it never copies the
+/// buffer, only the values it hands out as owned strings and vectors.
 ///
 /// See [`CdrWriter`] for a round-trip example.
 #[derive(Debug)]
-pub struct CdrReader {
-    buf: Bytes,
+pub struct CdrReader<'a> {
+    buf: &'a [u8],
     pos: usize,
     endian: Endian,
 }
 
-impl CdrReader {
+impl<'a> CdrReader<'a> {
     /// Creates a decoder over `buf` in `endian` order.
-    pub fn new(buf: Bytes, endian: Endian) -> Self {
+    pub fn new(buf: &'a [u8], endian: Endian) -> Self {
         CdrReader {
             buf,
             pos: 0,
@@ -224,13 +249,18 @@ impl CdrReader {
         self.buf.len().saturating_sub(self.pos)
     }
 
+    /// The bytes not yet consumed, as a view of the input.
+    pub fn rest(&self) -> &'a [u8] {
+        self.buf.get(self.pos..).unwrap_or(&[])
+    }
+
     fn align(&mut self, align: usize) {
         let align = align.max(1);
         let pad = (align - self.pos % align) % align;
         self.pos = self.pos.saturating_add(pad);
     }
 
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&[u8], CdrError> {
+    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CdrError> {
         let end = self
             .pos
             .checked_add(n)
@@ -300,13 +330,8 @@ impl CdrReader {
         Ok(f64::from_bits(self.read_u64()?))
     }
 
-    /// Reads a CDR string.
-    ///
-    /// # Errors
-    ///
-    /// [`CdrError::InvalidString`] if the terminator is missing or the bytes
-    /// are not UTF-8; [`CdrError::LengthOverrun`] on a hostile length.
-    pub fn read_string(&mut self) -> Result<String, CdrError> {
+    /// Reads a CDR string as a view of the input.
+    fn read_str(&mut self) -> Result<&'a str, CdrError> {
         let len = self.read_u32()?;
         if len == 0 {
             return Err(CdrError::InvalidString);
@@ -324,11 +349,26 @@ impl CdrReader {
         if *nul != 0 {
             return Err(CdrError::InvalidString);
         }
-        String::from_utf8(body.to_vec()).map_err(|_| CdrError::InvalidString)
+        core::str::from_utf8(body).map_err(|_| CdrError::InvalidString)
     }
 
-    /// Reads `sequence<octet>`.
-    pub fn read_octets(&mut self) -> Result<Vec<u8>, CdrError> {
+    /// Reads a CDR string.
+    ///
+    /// # Errors
+    ///
+    /// [`CdrError::InvalidString`] if the terminator is missing or the bytes
+    /// are not UTF-8; [`CdrError::LengthOverrun`] on a hostile length.
+    pub fn read_string(&mut self) -> Result<String, CdrError> {
+        self.read_str().map(str::to_owned)
+    }
+
+    /// Reads `sequence<octet>` as a view of the input (copy it with
+    /// `to_vec` to keep it).
+    ///
+    /// # Errors
+    ///
+    /// [`CdrError::LengthOverrun`] on a hostile length.
+    pub fn read_octets(&mut self) -> Result<&'a [u8], CdrError> {
         let len = self.read_u32()?;
         if len as usize > self.remaining() {
             return Err(CdrError::LengthOverrun {
@@ -336,7 +376,7 @@ impl CdrReader {
                 remaining: self.remaining(),
             });
         }
-        Ok(self.take(len as usize, "octet sequence")?.to_vec())
+        self.take(len as usize, "octet sequence")
     }
 }
 
@@ -355,7 +395,7 @@ mod tests {
         w.write_string("hello");
         w.write_octets(&[9, 8, 7]);
         let b = w.finish();
-        let mut r = CdrReader::new(b, endian);
+        let mut r = CdrReader::new(&b, endian);
         assert_eq!(r.read_u8().unwrap(), 0xAB);
         assert!(r.read_bool().unwrap());
         assert_eq!(r.read_u16().unwrap(), 0x1234);
@@ -397,7 +437,7 @@ mod tests {
 
     #[test]
     fn eof_is_detected() {
-        let mut r = CdrReader::new(Bytes::from_static(&[1, 2]), Endian::Big);
+        let mut r = CdrReader::new(&[1, 2], Endian::Big);
         assert!(matches!(
             r.read_u32(),
             Err(CdrError::UnexpectedEof { what: "ulong" })
@@ -409,7 +449,7 @@ mod tests {
         let mut w = CdrWriter::new(Endian::Big);
         w.write_u32(1_000_000); // declared length
         let b = w.finish();
-        let mut r = CdrReader::new(b, Endian::Big);
+        let mut r = CdrReader::new(&b, Endian::Big);
         assert!(matches!(
             r.read_string(),
             Err(CdrError::LengthOverrun { .. })
@@ -423,7 +463,8 @@ mod tests {
         w.write_u8(b'a');
         w.write_u8(b'b');
         w.write_u8(b'c'); // should be NUL
-        let mut r = CdrReader::new(w.finish(), Endian::Big);
+        let b = w.finish();
+        let mut r = CdrReader::new(&b, Endian::Big);
         assert_eq!(r.read_string(), Err(CdrError::InvalidString));
     }
 
@@ -441,8 +482,40 @@ mod tests {
     fn empty_octets_roundtrip() {
         let mut w = CdrWriter::new(Endian::Big);
         w.write_octets(&[]);
-        let mut r = CdrReader::new(w.finish(), Endian::Big);
+        let b = w.finish();
+        let mut r = CdrReader::new(&b, Endian::Big);
         assert_eq!(r.read_octets().unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn framed_writer_aligns_from_the_body_start() {
+        let mut plain = CdrWriter::new(Endian::Big);
+        let mut framed = CdrWriter::framed(Endian::Big, 12);
+        for w in [&mut plain, &mut framed] {
+            w.write_u8(1);
+            w.write_u64(2);
+            w.write_string("x");
+            w.write_raw(&[7, 7]);
+        }
+        assert_eq!(framed.len(), plain.len());
+        let (plain, framed) = (plain.finish(), framed.finish());
+        assert_eq!(&framed[..12], &[0; 12]);
+        assert_eq!(&framed[12..], &plain[..]);
+    }
+
+    #[test]
+    fn borrowed_reads_view_the_input() {
+        let mut w = CdrWriter::new(Endian::Little);
+        w.write_string("op");
+        w.write_octets(&[1, 2, 3]);
+        w.write_raw(&[9]);
+        let b = w.finish();
+        let mut r = CdrReader::new(&b, Endian::Little);
+        assert_eq!(r.read_str().unwrap(), "op");
+        let octets = r.read_octets().unwrap();
+        assert_eq!(octets, &[1, 2, 3]);
+        assert_eq!(octets.as_ptr(), b[12..].as_ptr());
+        assert_eq!(r.rest(), &[9]);
     }
 
     #[test]

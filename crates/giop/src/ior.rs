@@ -80,7 +80,7 @@ impl Ior {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = CdrWriter::new(crate::Endian::Big);
         self.write_into(&mut w);
-        w.finish().to_vec()
+        w.finish()
     }
 
     /// Writes this IOR into an ongoing CDR stream.
@@ -108,7 +108,7 @@ impl Ior {
     ///
     /// Any [`CdrError`] from malformed input.
     pub fn decode(bytes: &[u8]) -> Result<Self, CdrError> {
-        let mut r = CdrReader::new(bytes.to_vec().into(), crate::Endian::Big);
+        let mut r = CdrReader::new(bytes, crate::Endian::Big);
         Self::read_from(&mut r)
     }
 
@@ -133,7 +133,7 @@ impl Ior {
             if tag != TAG_INTERNET_IOP {
                 continue; // skip foreign profiles, per the spec
             }
-            let mut b = CdrReader::new(body.into(), crate::Endian::Big);
+            let mut b = CdrReader::new(body, crate::Endian::Big);
             let endian_flag = b.read_u8()?;
             if endian_flag != 0 {
                 // We only ever emit big-endian encapsulations.
@@ -146,7 +146,7 @@ impl Ior {
             let version_minor = b.read_u8()?;
             let host = b.read_string()?;
             let port = b.read_u16()?;
-            let object_key = ObjectKey::from_bytes(b.read_octets()?);
+            let object_key = ObjectKey::from_bytes(b.read_octets()?.to_vec());
             profiles.push(IiopProfile {
                 version_major,
                 version_minor,

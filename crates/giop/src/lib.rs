@@ -16,7 +16,9 @@
 //! * [`ObjectKey`] — persistent object keys with the 16-bit lookup hash of
 //!   section 4.1, and
 //! * [`FrameSplitter`] — an incremental splitter that separates GIOP frames
-//!   from piggybacked MEAD control frames in an intercepted byte stream.
+//!   from piggybacked MEAD control frames in an intercepted byte stream,
+//!   carving whole frames as zero-copy views of the received segments
+//!   ([`Reassembler`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,8 +32,9 @@ pub use cdr::{wire_len, CdrError, CdrReader, CdrWriter, Endian};
 pub use ior::{IiopProfile, Ior, TAG_INTERNET_IOP};
 pub use key::ObjectKey;
 pub use message::{
-    encode_frame, Frame, FrameKind, FrameSplitter, GiopError, Message, MsgType, ReplyBody,
-    ReplyMessage, ReplyStatus, RequestMessage, GIOP_MAGIC, HEADER_LEN, MEAD_MAGIC,
+    encode_frame, encode_request, Frame, FrameKind, FrameSplitter, GiopError, Message, MsgType,
+    Reassembler, ReplyBody, ReplyMessage, ReplyStatus, RequestMessage, GIOP_MAGIC, HEADER_LEN,
+    MEAD_MAGIC,
 };
 
 /// Well-known repository id for the `COMM_FAILURE` system exception.

@@ -14,7 +14,7 @@
 //! filters "custom MEAD messages that we piggyback onto regular GIOP
 //! messages" (section 3.1).
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use core::fmt;
 
 use crate::cdr::{CdrError, CdrReader, CdrWriter, Endian};
@@ -264,36 +264,24 @@ pub enum Message {
 
 impl Message {
     /// Encodes the message as a complete wire frame (header + body) in
-    /// `endian` byte order.
-    pub fn encode(&self, endian: Endian) -> Bytes {
-        let (msg_type, body) = match self {
-            Message::Request(req) => {
-                let mut w = CdrWriter::new(endian);
-                w.write_u32(0); // empty service context sequence
-                w.write_u32(req.request_id);
-                w.write_bool(req.response_expected);
-                w.write_octets(req.object_key.as_bytes());
-                w.write_string(&req.operation);
-                w.write_octets(&[]); // principal (deprecated)
-                let mut b = w.finish().to_vec();
-                b.extend_from_slice(&req.body);
-                (MsgType::Request, b)
-            }
-            Message::Reply(rep) => {
-                let mut w = CdrWriter::new(endian);
+    /// `endian` byte order, built in one buffer.
+    pub fn encode(&self, endian: Endian) -> Vec<u8> {
+        match self {
+            Message::Request(req) => encode_request(
+                endian,
+                req.request_id,
+                req.response_expected,
+                &req.object_key,
+                &req.operation,
+                &req.body,
+            ),
+            Message::Reply(rep) => encode_frame(GIOP_MAGIC, MsgType::Reply.code(), endian, |w| {
                 w.write_u32(0); // empty service context sequence
                 w.write_u32(rep.request_id);
                 w.write_u32(rep.body.status().code());
                 match &rep.body {
-                    ReplyBody::NoException(out) => {
-                        let mut b = w.finish().to_vec();
-                        b.extend_from_slice(out);
-                        (MsgType::Reply, b)
-                    }
-                    ReplyBody::UserException(repo_id) => {
-                        w.write_string(repo_id);
-                        (MsgType::Reply, w.finish().to_vec())
-                    }
+                    ReplyBody::NoException(out) => w.write_raw(out),
+                    ReplyBody::UserException(repo_id) => w.write_string(repo_id),
                     ReplyBody::SystemException {
                         repo_id,
                         minor,
@@ -302,25 +290,22 @@ impl Message {
                         w.write_string(repo_id);
                         w.write_u32(*minor);
                         w.write_u32(*completed);
-                        (MsgType::Reply, w.finish().to_vec())
                     }
-                    ReplyBody::LocationForward(ior) => {
-                        ior.write_into(&mut w);
-                        (MsgType::Reply, w.finish().to_vec())
-                    }
-                    ReplyBody::NeedsAddressingMode(disposition) => {
-                        w.write_u16(*disposition);
-                        (MsgType::Reply, w.finish().to_vec())
-                    }
+                    ReplyBody::LocationForward(ior) => ior.write_into(w),
+                    ReplyBody::NeedsAddressingMode(disposition) => w.write_u16(*disposition),
                 }
+            }),
+            Message::CloseConnection => {
+                encode_frame(GIOP_MAGIC, MsgType::CloseConnection.code(), endian, |_| {})
             }
-            Message::CloseConnection => (MsgType::CloseConnection, Vec::new()),
-            Message::MessageError => (MsgType::MessageError, Vec::new()),
-        };
-        encode_frame(GIOP_MAGIC, msg_type.code(), endian, &body)
+            Message::MessageError => {
+                encode_frame(GIOP_MAGIC, MsgType::MessageError.code(), endian, |_| {})
+            }
+        }
     }
 
     /// Decodes a complete frame previously produced by a [`FrameSplitter`].
+    /// The body is read in place; only the decoded fields are copied out.
     ///
     /// # Errors
     ///
@@ -342,32 +327,28 @@ impl Message {
         let body = body.get(..declared).ok_or(GiopError::Truncated)?;
         match msg_type {
             MsgType::Request => {
-                let mut r = CdrReader::new(Bytes::copy_from_slice(body), endian);
+                let mut r = CdrReader::new(body, endian);
                 let _svc = r.read_u32()?;
                 let request_id = r.read_u32()?;
                 let response_expected = r.read_bool()?;
-                let object_key = ObjectKey::from_bytes(r.read_octets()?);
+                let object_key = ObjectKey::from_bytes(r.read_octets()?.to_vec());
                 let operation = r.read_string()?;
                 let _principal = r.read_octets()?;
-                let consumed = body.len().saturating_sub(r.remaining());
                 Ok(Message::Request(RequestMessage {
                     request_id,
                     response_expected,
                     object_key,
                     operation,
-                    body: body.get(consumed..).unwrap_or(&[]).to_vec(),
+                    body: r.rest().to_vec(),
                 }))
             }
             MsgType::Reply => {
-                let mut r = CdrReader::new(Bytes::copy_from_slice(body), endian);
+                let mut r = CdrReader::new(body, endian);
                 let _svc = r.read_u32()?;
                 let request_id = r.read_u32()?;
                 let status = ReplyStatus::from_u32(r.read_u32()?)?;
                 let reply_body = match status {
-                    ReplyStatus::NoException => {
-                        let consumed = body.len().saturating_sub(r.remaining());
-                        ReplyBody::NoException(body.get(consumed..).unwrap_or(&[]).to_vec())
-                    }
+                    ReplyStatus::NoException => ReplyBody::NoException(r.rest().to_vec()),
                     ReplyStatus::UserException => ReplyBody::UserException(r.read_string()?),
                     ReplyStatus::SystemException => ReplyBody::SystemException {
                         repo_id: r.read_string()?,
@@ -393,24 +374,55 @@ impl Message {
     }
 }
 
-/// Builds a 12-byte-header frame (shared by GIOP and MEAD messages).
-pub fn encode_frame(magic: [u8; 4], msg_type: u8, endian: Endian, body: &[u8]) -> Bytes {
-    let mut out = BytesMut::with_capacity(HEADER_LEN + body.len());
-    out.put_slice(&magic);
-    out.put_u8(1); // major
-    out.put_u8(0); // minor
-    out.put_u8(match endian {
+/// Encodes a GIOP Request frame from borrowed parts: the bytes
+/// `Message::Request(..).encode(endian)` produces, without first cloning
+/// the parts into a [`RequestMessage`].
+pub fn encode_request(
+    endian: Endian,
+    request_id: u32,
+    response_expected: bool,
+    object_key: &ObjectKey,
+    operation: &str,
+    body: &[u8],
+) -> Vec<u8> {
+    encode_frame(GIOP_MAGIC, MsgType::Request.code(), endian, |w| {
+        w.write_u32(0); // empty service context sequence
+        w.write_u32(request_id);
+        w.write_bool(response_expected);
+        w.write_octets(object_key.as_bytes());
+        w.write_string(operation);
+        w.write_octets(&[]); // principal (deprecated)
+        w.write_raw(body);
+    })
+}
+
+/// Builds a 12-byte-header frame (shared by GIOP and MEAD messages) in
+/// one buffer: `body` marshals the body into a writer whose alignment
+/// counts from the body start, then the header is filled in.
+pub fn encode_frame(
+    magic: [u8; 4],
+    msg_type: u8,
+    endian: Endian,
+    body: impl FnOnce(&mut CdrWriter),
+) -> Vec<u8> {
+    let mut w = CdrWriter::framed(endian, HEADER_LEN);
+    body(&mut w);
+    let [l0, l1, l2, l3] = match endian {
+        Endian::Big => crate::cdr::wire_len(w.len()).to_be_bytes(),
+        Endian::Little => crate::cdr::wire_len(w.len()).to_le_bytes(),
+    };
+    let flags = match endian {
         Endian::Big => 0,
         Endian::Little => 1,
-    });
-    out.put_u8(msg_type);
-    let len = crate::cdr::wire_len(body.len());
-    match endian {
-        Endian::Big => out.put_u32(len),
-        Endian::Little => out.put_u32_le(len),
+    };
+    let [m0, m1, m2, m3] = magic;
+    // magic, version 1.0, flags, message type, body length
+    let header = [m0, m1, m2, m3, 1, 0, flags, msg_type, l0, l1, l2, l3];
+    let mut out = w.finish();
+    if let Some(slot) = out.get_mut(..HEADER_LEN) {
+        slot.copy_from_slice(&header);
     }
-    out.put_slice(body);
-    out.freeze()
+    out
 }
 
 /// Which protocol a split frame belongs to.
@@ -420,6 +432,16 @@ pub enum FrameKind {
     Giop,
     /// MEAD control traffic piggybacked on the same stream.
     Mead,
+}
+
+impl FrameKind {
+    fn of(magic: [u8; 4]) -> Result<FrameKind, GiopError> {
+        match magic {
+            GIOP_MAGIC => Ok(FrameKind::Giop),
+            MEAD_MAGIC => Ok(FrameKind::Mead),
+            other => Err(GiopError::BadMagic(other)),
+        }
+    }
 }
 
 /// A complete frame carved from a byte stream.
@@ -448,6 +470,106 @@ impl Frame {
     }
 }
 
+/// Reassembles length-framed messages from a byte stream delivered in
+/// arbitrary segments; shared by [`FrameSplitter`] and groupcomm's
+/// `GcsSplitter`.
+///
+/// The stream is `partial ++ head`. A segment pushed as [`Bytes`] becomes
+/// `head`, and every whole frame in it is carved out as a zero-copy view
+/// of that segment. Only a frame that spans segments is copied, into
+/// `partial`, and only as many bytes as it needs. Bytes pushed as a slice
+/// are copied into `partial`; frames then come out of that buffer.
+#[derive(Debug, Default)]
+pub struct Reassembler {
+    /// The front of the stream: a frame begun in an earlier segment, or
+    /// everything pushed by copy.
+    partial: BytesMut,
+    /// The uncarved rest of the latest zero-copy segment.
+    head: Bytes,
+}
+
+impl Reassembler {
+    /// Appends a copy of `data` to the stream.
+    pub fn push(&mut self, data: &[u8]) {
+        self.stash_head();
+        self.partial.extend_from_slice(data);
+    }
+
+    /// Appends `data` to the stream without copying it.
+    pub fn push_bytes(&mut self, data: Bytes) {
+        if data.is_empty() {
+            return;
+        }
+        self.stash_head();
+        self.head = data;
+    }
+
+    /// Bytes buffered but not yet framed.
+    pub fn buffered(&self) -> usize {
+        self.partial.len().saturating_add(self.head.len())
+    }
+
+    /// Moves the uncarved rest of `head` behind `partial` (a copy), so a
+    /// later segment can follow it.
+    fn stash_head(&mut self) {
+        if !self.head.is_empty() {
+            self.partial.extend_from_slice(&self.head);
+        }
+        self.head = Bytes::new();
+    }
+
+    /// Carves the next complete frame. Once `header` bytes are buffered,
+    /// `frame_len` reads them and returns the whole frame's length
+    /// (header included) or rejects the stream; its error is returned
+    /// and the stream is left as it was.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `frame_len` returns.
+    pub fn next_frame<E>(
+        &mut self,
+        header: usize,
+        frame_len: impl Fn(&[u8]) -> Result<usize, E>,
+    ) -> Result<Option<Bytes>, E> {
+        // A frame begun in an earlier segment: top it up from `head`.
+        // Each pass either returns or moves at least one byte of `head`
+        // into `partial`, so the loop is bounded by `head.len()`.
+        while !self.partial.is_empty() {
+            let want = if self.partial.len() < header {
+                header
+            } else {
+                frame_len(&self.partial)?.max(header)
+            };
+            if want <= self.partial.len() {
+                return Ok(Some(self.partial.split_to(want).freeze()));
+            }
+            if self.head.is_empty() {
+                return Ok(None);
+            }
+            let n = (want - self.partial.len()).min(self.head.len());
+            self.partial.extend_from_slice(&self.head.split_to(n));
+        }
+        // Frame boundary at the front of `head`: carve in place.
+        if self.head.len() < header {
+            self.stash_head();
+            return Ok(None);
+        }
+        let total = frame_len(&self.head)?.max(header);
+        if total > self.head.len() {
+            self.stash_head();
+            return Ok(None);
+        }
+        Ok(Some(self.head.split_to(total)))
+    }
+}
+
+/// The length of the GIOP/MEAD frame whose 12-byte header starts `buf`.
+fn giop_frame_len(buf: &[u8]) -> Result<usize, GiopError> {
+    FrameKind::of(read4(buf, 0)?)?;
+    let little = read_u8_at(buf, 6)? & 1 == 1;
+    Ok(HEADER_LEN.saturating_add(read_len(buf, little)?))
+}
+
 /// Incremental stream splitter: feed it raw bytes as they arrive, pull out
 /// complete GIOP/MEAD frames.
 ///
@@ -464,7 +586,7 @@ impl Frame {
 /// ```
 #[derive(Debug, Default)]
 pub struct FrameSplitter {
-    buf: BytesMut,
+    stream: Reassembler,
 }
 
 impl FrameSplitter {
@@ -473,14 +595,20 @@ impl FrameSplitter {
         Self::default()
     }
 
-    /// Appends newly received bytes.
+    /// Appends a copy of newly received bytes.
     pub fn push(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        self.stream.push(data);
+    }
+
+    /// Appends newly received bytes without copying them: whole frames
+    /// come out as views of `data` (see [`Reassembler`]).
+    pub fn push_bytes(&mut self, data: Bytes) {
+        self.stream.push_bytes(data);
     }
 
     /// Bytes buffered but not yet framed.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.stream.buffered()
     }
 
     /// Extracts the next complete frame, if one is buffered.
@@ -490,36 +618,24 @@ impl FrameSplitter {
     /// [`GiopError::BadMagic`] if the stream is out of sync (the connection
     /// should be torn down, as a real ORB would).
     pub fn next_frame(&mut self) -> Result<Option<Frame>, GiopError> {
-        if self.buf.len() < HEADER_LEN {
+        let Some(bytes) = self.stream.next_frame(HEADER_LEN, giop_frame_len)? else {
             return Ok(None);
-        }
-        let magic = read4(&self.buf, 0)?;
-        let kind = match &magic {
-            m if *m == GIOP_MAGIC => FrameKind::Giop,
-            m if *m == MEAD_MAGIC => FrameKind::Mead,
-            _ => return Err(GiopError::BadMagic(magic)),
         };
-        let little = read_u8_at(&self.buf, 6)? & 1 == 1;
-        let body_len = read_len(&self.buf, little)?;
-        let total = HEADER_LEN.saturating_add(body_len);
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let frame = self.buf.split_to(total).freeze();
-        Ok(Some(Frame { kind, bytes: frame }))
+        let kind = FrameKind::of(read4(&bytes, 0)?)?;
+        Ok(Some(Frame { kind, bytes }))
     }
 
-    /// Drains every complete frame currently buffered.
+    /// Appends every complete frame currently buffered to `out` (a list
+    /// the caller can reuse across reads).
     ///
     /// # Errors
     ///
     /// Propagates the first [`GiopError::BadMagic`] encountered.
-    pub fn drain_frames(&mut self) -> Result<Vec<Frame>, GiopError> {
-        let mut out = Vec::new();
+    pub fn drain_frames(&mut self, out: &mut Vec<Frame>) -> Result<(), GiopError> {
         while let Some(f) = self.next_frame()? {
             out.push(f);
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -612,15 +728,40 @@ mod tests {
     #[test]
     fn splitter_distinguishes_mead_frames() {
         let giop = Message::CloseConnection.encode(Endian::Big);
-        let mead = encode_frame(MEAD_MAGIC, 1, Endian::Big, &[0xAA; 20]);
+        let mead = encode_frame(MEAD_MAGIC, 1, Endian::Big, |w| w.write_raw(&[0xAA; 20]));
         let mut s = FrameSplitter::new();
         s.push(&mead);
         s.push(&giop);
-        let frames = s.drain_frames().unwrap();
+        let mut frames = Vec::new();
+        s.drain_frames(&mut frames).unwrap();
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0].kind, FrameKind::Mead);
         assert_eq!(frames[0].body().len(), 20);
         assert_eq!(frames[1].kind, FrameKind::Giop);
+    }
+
+    #[test]
+    fn whole_frames_are_views_of_the_pushed_segment() {
+        let close = Message::CloseConnection.encode(Endian::Big);
+        let error = Message::MessageError.encode(Endian::Little);
+        let mut seg = close.clone();
+        seg.extend_from_slice(&error);
+        seg.extend_from_slice(&close[..5]);
+        let seg = Bytes::from(seg);
+        let mut s = FrameSplitter::new();
+        s.push_bytes(seg.clone());
+        let first = s.next_frame().unwrap().unwrap();
+        let second = s.next_frame().unwrap().unwrap();
+        assert_eq!(first.bytes.as_ptr(), seg.as_ptr());
+        assert_eq!(second.bytes.as_ptr(), seg.as_ptr().wrapping_add(HEADER_LEN));
+        assert_eq!(second.bytes, error);
+        // Only the trailing partial frame is copied; the next segment
+        // completes it.
+        assert!(s.next_frame().unwrap().is_none());
+        assert_eq!(s.buffered(), 5);
+        s.push_bytes(Bytes::copy_from_slice(&close[5..]));
+        assert_eq!(s.next_frame().unwrap().unwrap().bytes, close);
+        assert_eq!(s.buffered(), 0);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! counterpart): every decoder entry point must return a typed error —
 //! never panic — on truncated, bit-flipped, or outright arbitrary input.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 
 use giop::*;
@@ -132,7 +131,7 @@ proptest! {
         ops in prop::collection::vec(0u8..8, 1..24),
         endian in arb_endian(),
     ) {
-        let mut r = CdrReader::new(Bytes::from(buf), endian);
+        let mut r = CdrReader::new(&buf, endian);
         for op in ops {
             match op {
                 0 => { let _ = r.read_u8(); }

@@ -139,7 +139,7 @@ proptest! {
         w.write_u8(a); w.write_bool(b); w.write_u16(c); w.write_u32(d);
         w.write_u64(e); w.write_f64(f); w.write_string(&s); w.write_octets(&o);
         let buf = w.finish();
-        let mut r = CdrReader::new(buf, endian);
+        let mut r = CdrReader::new(&buf, endian);
         prop_assert_eq!(r.read_u8().unwrap(), a);
         prop_assert_eq!(r.read_bool().unwrap(), b);
         prop_assert_eq!(r.read_u16().unwrap(), c);
@@ -156,5 +156,97 @@ proptest! {
         let k1 = ObjectKey::from_bytes(bytes.clone());
         let k2 = ObjectKey::from_bytes(bytes);
         prop_assert_eq!(k1.hash16(), k2.hash16());
+    }
+}
+
+/// What a splitter yields while a stream is fed to it: every frame, the
+/// bytes still buffered after each segment, and the first error (after
+/// which a connection is torn down, so feeding stops).
+#[derive(Debug, PartialEq)]
+enum Split {
+    Frame(FrameKind, Vec<u8>),
+    Buffered(usize),
+    Error(GiopError),
+}
+
+/// Feeds `stream` in segments of `chunks` (cycled). Segment `i` goes in by
+/// copy (`push`) or as a view of one shared receive buffer (`push_bytes`,
+/// as the kernel hands it out) according to `zero_copy[i]` (cycled).
+fn split_stream(stream: &[u8], chunks: &[usize], zero_copy: &[bool]) -> Vec<Split> {
+    let shared = bytes::Bytes::copy_from_slice(stream);
+    let mut s = FrameSplitter::new();
+    let mut out = Vec::new();
+    let mut offset = 0;
+    for (&n, &by_view) in chunks.iter().cycle().zip(zero_copy.iter().cycle()) {
+        if offset >= stream.len() {
+            break;
+        }
+        let end = (offset + n).min(stream.len());
+        if by_view {
+            s.push_bytes(shared.slice(offset..end));
+        } else {
+            s.push(&stream[offset..end]);
+        }
+        offset = end;
+        loop {
+            match s.next_frame() {
+                Ok(Some(f)) => out.push(Split::Frame(f.kind, f.bytes.to_vec())),
+                Ok(None) => break,
+                Err(e) => {
+                    out.push(Split::Error(e));
+                    return out;
+                }
+            }
+        }
+        out.push(Split::Buffered(s.buffered()));
+    }
+    out
+}
+
+/// A GIOP stream with piggybacked MEAD frames, optionally ending in
+/// garbage (which the splitter must reject with `BadMagic`, or hold as
+/// an incomplete frame).
+fn arb_frame_stream() -> impl Strategy<Value = Vec<u8>> {
+    (
+        prop::collection::vec(
+            (
+                arb_message(),
+                arb_endian(),
+                prop::collection::vec(any::<u8>(), 0..3),
+            ),
+            0..6,
+        ),
+        prop::collection::vec(any::<u8>(), 0..40),
+    )
+        .prop_map(|(frames, garbage)| {
+            let mut stream = Vec::new();
+            for (msg, endian, mead) in frames {
+                stream.extend_from_slice(&msg.encode(endian));
+                if let Some(&len) = mead.first() {
+                    let pad = vec![0xAA; usize::from(len)];
+                    stream.extend_from_slice(&encode_frame(MEAD_MAGIC, 1, endian, |w| {
+                        w.write_raw(&pad)
+                    }));
+                }
+            }
+            stream.extend_from_slice(&garbage);
+            stream
+        })
+}
+
+proptest! {
+    /// The zero-copy path is observationally the copying path: for every
+    /// segmentation, and every mix of copied and shared segments, the
+    /// splitter yields byte-identical frames, the same buffered counts and
+    /// the same error.
+    #[test]
+    fn zero_copy_splitting_matches_the_copying_path(
+        stream in arb_frame_stream(),
+        chunks in prop::collection::vec(1usize..80, 1..16),
+        mix in prop::collection::vec(any::<bool>(), 1..8),
+    ) {
+        let copied = split_stream(&stream, &chunks, &[false]);
+        prop_assert_eq!(&split_stream(&stream, &chunks, &[true]), &copied);
+        prop_assert_eq!(&split_stream(&stream, &chunks, &mix), &copied);
     }
 }

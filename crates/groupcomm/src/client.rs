@@ -198,7 +198,7 @@ impl GcsClient {
                 let Ok(read) = sys.read(*conn, usize::MAX) else {
                     return Some(Vec::new());
                 };
-                self.splitter.push(&read.data);
+                self.splitter.push_bytes(read.data);
                 let mut out = Vec::new();
                 loop {
                     match self.splitter.next_message() {

@@ -664,7 +664,7 @@ impl Process for GcsDaemon {
                 let Ok(read) = sys.read(conn, usize::MAX) else {
                     return;
                 };
-                state.splitter.push(&read.data);
+                state.splitter.push_bytes(read.data);
                 while let Some(state) = self.conns.get_mut(&conn) {
                     match state.splitter.next_message() {
                         Ok(Some(msg)) => self.handle_message(sys, conn, msg),

@@ -4,9 +4,9 @@
 //! message discriminant. Three sub-protocols share the enum: client↔daemon
 //! commands/deliveries and daemon↔sequencer forwarding/ordering.
 
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 
-use giop::{CdrReader, CdrWriter, Endian};
+use giop::{CdrReader, CdrWriter, Endian, Reassembler};
 use obs::{CodecError, WireCodec};
 
 /// Upper bound on a sane GCS frame, to catch stream desynchronisation.
@@ -151,7 +151,7 @@ impl GcsWire {
 
     /// Encodes as a length-prefixed frame ready for the wire.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_wire().to_vec()
+        self.encode_wire()
     }
 
     /// Decodes one frame body (without the length prefix).
@@ -164,7 +164,7 @@ impl GcsWire {
     }
 
     fn decode_body(body: &[u8]) -> Result<Self, CodecError> {
-        let mut r = CdrReader::new(body.to_vec().into(), Endian::Big);
+        let mut r = CdrReader::new(body, Endian::Big);
         let kind = r.read_u8()?;
         Ok(match kind {
             0 => GcsWire::Attach {
@@ -178,7 +178,7 @@ impl GcsWire {
             },
             3 => GcsWire::Multicast {
                 group: r.read_string()?,
-                payload: r.read_octets()?,
+                payload: r.read_octets()?.to_vec(),
             },
             4 => GcsWire::Attached,
             5 => {
@@ -198,7 +198,7 @@ impl GcsWire {
             6 => GcsWire::Deliver {
                 group: r.read_string()?,
                 sender: r.read_string()?,
-                payload: r.read_octets()?,
+                payload: r.read_octets()?.to_vec(),
             },
             7 => GcsWire::Hello {
                 node: r.read_u32()?,
@@ -215,7 +215,7 @@ impl GcsWire {
             10 => GcsWire::FwdMulticast {
                 group: r.read_string()?,
                 sender: r.read_string()?,
-                payload: r.read_octets()?,
+                payload: r.read_octets()?.to_vec(),
             },
             11 => {
                 let seq = r.read_u64()?;
@@ -237,10 +237,10 @@ impl GcsWire {
                 seq: r.read_u64()?,
                 group: r.read_string()?,
                 sender: r.read_string()?,
-                payload: r.read_octets()?,
+                payload: r.read_octets()?.to_vec(),
             },
             13 => GcsWire::Heartbeat {
-                pad: r.read_octets()?,
+                pad: r.read_octets()?.to_vec(),
             },
             other => return Err(CodecError::UnknownKind(other)),
         })
@@ -269,8 +269,10 @@ impl WireCodec for GcsWire {
         }
     }
 
-    fn encode_wire(&self) -> Bytes {
-        let mut w = CdrWriter::new(Endian::Big);
+    fn encode_wire(&self) -> Vec<u8> {
+        // One buffer: a 4-byte length prefix, then the CDR body (aligned
+        // from its own start).
+        let mut w = CdrWriter::framed(Endian::Big, 4);
         w.write_u8(self.kind());
         match self {
             GcsWire::Attach { member } => w.write_string(member),
@@ -351,11 +353,10 @@ impl WireCodec for GcsWire {
             }
             GcsWire::Heartbeat { pad } => w.write_octets(pad),
         }
-        let body = w.finish();
-        let mut out = BytesMut::with_capacity(4 + body.len());
-        out.extend_from_slice(&giop::wire_len(body.len()).to_be_bytes());
-        out.extend_from_slice(&body);
-        out.freeze()
+        let len = giop::wire_len(w.len()).to_be_bytes();
+        let mut out = w.finish();
+        out[..4].copy_from_slice(&len);
+        out
     }
 
     fn decode_wire(bytes: &[u8]) -> Result<Self, CodecError> {
@@ -373,10 +374,21 @@ impl WireCodec for GcsWire {
     }
 }
 
-/// Incremental splitter for length-prefixed GCS frames.
+/// The length of the GCS frame whose 4-byte length prefix starts `buf`.
+fn gcs_frame_len(buf: &[u8]) -> Result<usize, CodecError> {
+    let len = (&buf[0..4]).get_u32();
+    if len > MAX_FRAME {
+        return Err(CodecError::Oversize(len));
+    }
+    Ok(4 + len as usize)
+}
+
+/// Incremental splitter for length-prefixed GCS frames. Whole frames in a
+/// segment pushed with [`GcsSplitter::push_bytes`] are decoded in place;
+/// only a frame spanning segments is copied (see [`giop::Reassembler`]).
 #[derive(Debug, Default)]
 pub struct GcsSplitter {
-    buf: BytesMut,
+    stream: Reassembler,
 }
 
 impl GcsSplitter {
@@ -385,9 +397,14 @@ impl GcsSplitter {
         Self::default()
     }
 
-    /// Appends received bytes.
+    /// Appends a copy of received bytes.
     pub fn push(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        self.stream.push(data);
+    }
+
+    /// Appends received bytes without copying them.
+    pub fn push_bytes(&mut self, data: Bytes) {
+        self.stream.push_bytes(data);
     }
 
     /// Extracts the next complete message, if buffered.
@@ -396,19 +413,10 @@ impl GcsSplitter {
     ///
     /// [`CodecError`] on a corrupt frame.
     pub fn next_message(&mut self) -> Result<Option<GcsWire>, CodecError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
+        match self.stream.next_frame(4, gcs_frame_len)? {
+            Some(frame) => GcsWire::decode(&frame[4..]).map(Some),
+            None => Ok(None),
         }
-        let len = (&self.buf[0..4]).get_u32();
-        if len > MAX_FRAME {
-            return Err(CodecError::Oversize(len));
-        }
-        if self.buf.len() < 4 + len as usize {
-            return Ok(None);
-        }
-        self.buf.advance(4);
-        let body = self.buf.split_to(len as usize);
-        GcsWire::decode(&body).map(Some)
     }
 
     /// Drains all complete messages currently buffered.

@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 
-use groupcomm::{GcsSplitter, GcsWire};
+use groupcomm::{GcsSplitter, GcsWire, MAX_FRAME};
+use obs::CodecError;
 
 fn arb_name() -> impl Strategy<Value = String> {
     "[a-zA-Z0-9/_.-]{1,40}"
@@ -114,5 +115,83 @@ proptest! {
         s.push(&bytes);
         // Either a message, None (incomplete) or a decode error — no panic.
         while let Ok(Some(_)) = s.next_message() {}
+    }
+}
+
+/// What a GCS splitter yields while a stream is fed to it (see the GIOP
+/// twin in `crates/giop/tests/proptests.rs`).
+#[derive(Debug, PartialEq)]
+enum Split {
+    Message(GcsWire),
+    Error(CodecError),
+}
+
+/// Feeds `stream` in segments of `chunks` (cycled), each by copy or as a
+/// view of one shared receive buffer according to `zero_copy` (cycled).
+fn split_stream(stream: &[u8], chunks: &[usize], zero_copy: &[bool]) -> Vec<Split> {
+    let shared = bytes::Bytes::copy_from_slice(stream);
+    let mut s = GcsSplitter::new();
+    let mut out = Vec::new();
+    let mut offset = 0;
+    for (&n, &by_view) in chunks.iter().cycle().zip(zero_copy.iter().cycle()) {
+        if offset >= stream.len() {
+            break;
+        }
+        let end = (offset + n).min(stream.len());
+        if by_view {
+            s.push_bytes(shared.slice(offset..end));
+        } else {
+            s.push(&stream[offset..end]);
+        }
+        offset = end;
+        loop {
+            match s.next_message() {
+                Ok(Some(m)) => out.push(Split::Message(m)),
+                Ok(None) => break,
+                Err(e) => {
+                    out.push(Split::Error(e));
+                    return out;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Valid frames, then optionally a tail that is corrupt: an oversize
+/// length prefix, or arbitrary bytes.
+fn arb_gcs_stream() -> impl Strategy<Value = Vec<u8>> {
+    (
+        prop::collection::vec(arb_msg(), 0..6),
+        0u8..3,
+        prop::collection::vec(any::<u8>(), 0..24),
+    )
+        .prop_map(|(msgs, tail, garbage)| {
+            let mut stream = Vec::new();
+            for m in &msgs {
+                stream.extend_from_slice(&m.encode());
+            }
+            match tail {
+                0 => {}
+                1 => stream.extend_from_slice(&(MAX_FRAME + 1).to_be_bytes()),
+                _ => stream.extend_from_slice(&garbage),
+            }
+            stream
+        })
+}
+
+proptest! {
+    /// The zero-copy path is observationally the copying path: identical
+    /// messages and identical errors (`Oversize`, decode errors) for every
+    /// segmentation and every mix of copied and shared segments.
+    #[test]
+    fn zero_copy_splitting_matches_the_copying_path(
+        stream in arb_gcs_stream(),
+        chunks in prop::collection::vec(1usize..80, 1..16),
+        mix in prop::collection::vec(any::<bool>(), 1..8),
+    ) {
+        let copied = split_stream(&stream, &chunks, &[false]);
+        prop_assert_eq!(&split_stream(&stream, &chunks, &[true]), &copied);
+        prop_assert_eq!(&split_stream(&stream, &chunks, &mix), &copied);
     }
 }

@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use giop::{Endian, FrameKind, Message, MsgType, ReplyBody, ReplyMessage};
+use giop::{Endian, Frame, FrameKind, Message, MsgType, ReplyBody, ReplyMessage};
 use groupcomm::{GcsClient, GcsDelivery};
 use obs::{EventKind, Phase};
 use simnet::{
@@ -91,6 +91,8 @@ struct ClientState {
     /// GIOP reply from the *new* replica; the next such reply closes the
     /// paper's fail-over window (`FirstReplyAfterFailover`).
     awaiting_first_reply: BTreeSet<ConnId>,
+    /// Scratch list of split frames, reused across reads and writes.
+    frame_buf: Vec<Frame>,
 }
 
 impl ClientInterceptor {
@@ -110,6 +112,7 @@ impl ClientInterceptor {
                 finishing: BTreeMap::new(),
                 next_finish_token: 0,
                 awaiting_first_reply: BTreeSet::new(),
+                frame_buf: Vec::new(),
             },
         }
     }
@@ -259,24 +262,20 @@ impl ClientState {
         let Ok(read) = sys.read(real, usize::MAX) else {
             return false;
         };
-        let frames = {
-            let Some(stream) = self.streams.get_mut(&app) else {
-                return false;
-            };
-            if read.eof && self.cfg.scheme != RecoveryScheme::NeedsAddressing {
-                stream.stage_eof = true;
-            }
-            match stream.push_incoming(&read.data) {
-                Ok(f) => f,
-                Err(e) => {
-                    sys.count("mead.client.desync", 1);
-                    sys.trace(&format!("client interceptor: stream desync: {e}"));
-                    return false;
-                }
-            }
+        let Some(stream) = self.streams.get_mut(&app) else {
+            return false;
         };
+        if read.eof && self.cfg.scheme != RecoveryScheme::NeedsAddressing {
+            stream.stage_eof = true;
+        }
+        let mut frames = std::mem::take(&mut self.frame_buf);
+        if let Err(e) = stream.push_incoming(read.data, &mut frames) {
+            sys.count("mead.client.desync", 1);
+            sys.trace(&format!("client interceptor: stream desync: {e}"));
+            return false;
+        }
         let mut staged = false;
-        for frame in frames {
+        for frame in frames.drain(..) {
             match frame.kind {
                 FrameKind::Mead => {
                     // Strip and act: this is the proactive fail-over path.
@@ -321,6 +320,7 @@ impl ClientState {
                 }
             }
         }
+        self.frame_buf = frames;
         staged
     }
 
@@ -410,7 +410,7 @@ impl ClientState {
             })
             .encode(Endian::Big);
             let stream = self.streams.get_mut(&app)?;
-            stream.stage_bytes(&fab);
+            stream.stage_bytes(fab);
             wake = true;
         }
         wake.then_some(Event::DataReadable { conn: app })
@@ -569,8 +569,9 @@ impl SysApi for ClientFacade<'_> {
         if self.st.cfg.scheme == RecoveryScheme::NeedsAddressing {
             // Track the in-flight request id so a fabricated reply can
             // name it. This light parse is the scheme's ~8 % overhead.
-            if let Ok(frames) = stream.push_outgoing(bytes) {
-                for frame in frames {
+            let mut frames = std::mem::take(&mut self.st.frame_buf);
+            if stream.push_outgoing(bytes, &mut frames).is_ok() {
+                for frame in frames.drain(..) {
                     if frame.kind == FrameKind::Giop && frame.msg_type() == MsgType::Request as u8 {
                         self.sys.charge_cpu(self.st.cfg.costs.request_track_cpu);
                         if let Ok(Message::Request(req)) = Message::decode(&frame.bytes) {
@@ -581,6 +582,7 @@ impl SysApi for ClientFacade<'_> {
                     }
                 }
             }
+            self.st.frame_buf = frames;
         }
         let stream = self.st.streams.get_mut(&conn).expect("still present");
         if stream.redirecting {

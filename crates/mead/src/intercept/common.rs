@@ -82,26 +82,29 @@ impl Stream {
         }
     }
 
-    /// Feeds incoming real bytes; returns the complete frames now
-    /// available (the caller decides which to consume and which to
-    /// [`stage`](Self::stage_frame)).
+    /// Feeds incoming real bytes (without copying them) and appends the
+    /// complete frames now available to `frames`; the caller decides which
+    /// to consume and which to [`stage`](Self::stage_frame).
     ///
     /// # Errors
     ///
     /// Propagates [`GiopError::BadMagic`] on stream desynchronisation.
-    pub fn push_incoming(&mut self, data: &[u8]) -> Result<Vec<Frame>, GiopError> {
-        self.read_split.push(data);
-        self.read_split.drain_frames()
+    pub fn push_incoming(&mut self, data: Bytes, frames: &mut Vec<Frame>) -> Result<(), GiopError> {
+        self.read_split.push_bytes(data);
+        self.read_split.drain_frames(frames)
     }
 
-    /// Feeds outgoing application bytes; returns the complete frames.
+    /// Feeds outgoing application bytes and appends the complete frames to
+    /// `frames`. The bytes are copied once, here, where they enter the
+    /// wire: the frames are views of that copy, ready for
+    /// [`SysApi::write_bytes`](simnet::SysApi::write_bytes).
     ///
     /// # Errors
     ///
     /// Propagates [`GiopError::BadMagic`] on malformed application output.
-    pub fn push_outgoing(&mut self, data: &[u8]) -> Result<Vec<Frame>, GiopError> {
-        self.write_split.push(data);
-        self.write_split.drain_frames()
+    pub fn push_outgoing(&mut self, data: &[u8], frames: &mut Vec<Frame>) -> Result<(), GiopError> {
+        self.write_split.push_bytes(Bytes::copy_from_slice(data));
+        self.write_split.drain_frames(frames)
     }
 
     /// Re-stages a frame byte-identically for the application to read.
@@ -110,9 +113,9 @@ impl Stream {
         self.stage.push(frame.bytes.clone());
     }
 
-    /// Stages raw bytes (fabricated replies).
-    pub fn stage_bytes(&mut self, bytes: &[u8]) {
-        self.stage.push(Bytes::copy_from_slice(bytes));
+    /// Stages fabricated bytes (a reply the interceptor made up).
+    pub fn stage_bytes(&mut self, bytes: Vec<u8>) {
+        self.stage.push(Bytes::from(bytes));
     }
 
     /// Bytes currently staged.
@@ -147,7 +150,9 @@ mod tests {
     fn stage_and_read_roundtrip() {
         let mut s = Stream::new(ConnId::default_for_tests());
         let wire = Message::CloseConnection.encode(Endian::Big);
-        let frames = s.push_incoming(&wire).unwrap();
+        let mut frames = Vec::new();
+        s.push_incoming(Bytes::from(wire.clone()), &mut frames)
+            .unwrap();
         assert_eq!(frames.len(), 1);
         s.stage_frame(&frames[0]);
         assert_eq!(s.staged_len(), wire.len());
@@ -161,7 +166,7 @@ mod tests {
     #[test]
     fn partial_reads_respect_max() {
         let mut s = Stream::new(ConnId::default_for_tests());
-        s.stage_bytes(&[1, 2, 3, 4, 5]);
+        s.stage_bytes(vec![1, 2, 3, 4, 5]);
         let first = s.read(2);
         assert_eq!(&first.data[..], &[1, 2]);
         let rest = s.read(usize::MAX);

@@ -22,6 +22,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use bytes::Bytes;
 use faults::{
     AdaptivePredictor, MemoryLeak, PressureKind, ResourceMonitor, ResourcePressure, ThresholdAction,
 };
@@ -106,12 +107,14 @@ struct ServerState {
     /// Commit-before-ack (`cfg.commit_acks`): client replies written by
     /// the app since the last checkpoint, waiting for the checkpoint
     /// that covers them.
-    current_batch: Vec<(ConnId, Vec<u8>)>,
+    current_batch: Vec<(ConnId, Bytes)>,
     /// One entry per checkpoint multicast still in flight; its batch is
     /// released when our own checkpoint self-delivers through the total
     /// order (so the state the replies acknowledge is durable at the
     /// backups first).
-    held_replies: VecDeque<Vec<(ConnId, Vec<u8>)>>,
+    held_replies: VecDeque<Vec<(ConnId, Bytes)>>,
+    /// Scratch list of split frames, reused across reads and writes.
+    frame_buf: Vec<Frame>,
 }
 
 impl ServerInterceptor {
@@ -151,6 +154,7 @@ impl ServerInterceptor {
                 advertised_in_view: false,
                 current_batch: Vec::new(),
                 held_replies: VecDeque::new(),
+                frame_buf: Vec::new(),
             },
         }
     }
@@ -302,16 +306,14 @@ impl ServerState {
         if read.eof {
             stream.stage_eof = true;
         }
-        let frames = match stream.push_incoming(&read.data) {
-            Ok(f) => f,
-            Err(e) => {
-                sys.count("mead.server.desync", 1);
-                sys.trace(&format!("server interceptor: stream desync: {e}"));
-                return false;
-            }
-        };
+        let mut frames = std::mem::take(&mut self.frame_buf);
+        if let Err(e) = stream.push_incoming(read.data, &mut frames) {
+            sys.count("mead.server.desync", 1);
+            sys.trace(&format!("server interceptor: stream desync: {e}"));
+            return false;
+        }
         let mut staged = false;
-        for frame in frames {
+        for frame in frames.drain(..) {
             // Warm-passive single-writer discipline (exactly-once mode):
             // a backup that has never served and is not the first listed
             // replica must not touch application state — a client that
@@ -355,6 +357,7 @@ impl ServerState {
             stream.stage_frame(&frame);
             staged = true;
         }
+        self.frame_buf = frames;
         staged
     }
 
@@ -397,15 +400,11 @@ impl ServerState {
     }
 
     /// Write-path filtering for replies to clients. Returns the bytes to
-    /// actually put on the wire.
-    fn filter_client_write(
-        &mut self,
-        sys: &mut dyn SysApi,
-        conn: ConnId,
-        frame: &Frame,
-    ) -> Vec<u8> {
+    /// actually put on the wire: the frame itself (shared, not copied) or
+    /// a fabricated replacement.
+    fn filter_client_write(&mut self, sys: &mut dyn SysApi, conn: ConnId, frame: &Frame) -> Bytes {
         if frame.kind != FrameKind::Giop || frame.msg_type() != MsgType::Reply as u8 {
-            return frame.bytes.to_vec();
+            return frame.bytes.clone();
         }
         // Per-scheme steady-state costs on the reply path.
         match self.cfg.scheme {
@@ -423,20 +422,20 @@ impl ServerState {
             self.check_thresholds(sys, false);
         }
         if !self.migrating {
-            return frame.bytes.to_vec();
+            return frame.bytes.clone();
         }
         match self.cfg.scheme {
             RecoveryScheme::LocationForward => self.forward_reply(sys, conn, frame),
             RecoveryScheme::MeadFailover => self.piggyback_reply(sys, conn, frame),
-            _ => frame.bytes.to_vec(),
+            _ => frame.bytes.clone(),
         }
     }
 
     /// LOCATION_FORWARD: suppress the normal reply, send a forward to the
     /// next replica's IOR instead (section 4.1).
-    fn forward_reply(&mut self, sys: &mut dyn SysApi, conn: ConnId, frame: &Frame) -> Vec<u8> {
+    fn forward_reply(&mut self, sys: &mut dyn SysApi, conn: ConnId, frame: &Frame) -> Bytes {
         let Ok(Message::Reply(rep)) = Message::decode(&frame.bytes) else {
-            return frame.bytes.to_vec();
+            return frame.bytes.clone();
         };
         let key = self
             .request_keys
@@ -444,7 +443,7 @@ impl ServerState {
             .and_then(|m| m.remove(&rep.request_id));
         let target = self.dir.next_after(&self.member).cloned();
         let (Some(key), Some(target)) = (key, target) else {
-            return frame.bytes.to_vec(); // cannot redirect; serve normally
+            return frame.bytes.clone(); // cannot redirect; serve normally
         };
         sys.charge_cpu(if self.cfg.use_key_hash {
             self.cfg.costs.ior_lookup_cpu
@@ -457,7 +456,7 @@ impl ServerState {
             .cloned()
         else {
             sys.count("mead.forward_no_ior", 1);
-            return frame.bytes.to_vec();
+            return frame.bytes.clone();
         };
         sys.charge_cpu(self.cfg.costs.fabricate_cpu);
         sys.count("mead.forwards_sent", 1);
@@ -468,19 +467,19 @@ impl ServerState {
             body: ReplyBody::LocationForward(ior),
         })
         .encode(Endian::Big)
-        .to_vec()
+        .into()
     }
 
     /// MEAD message: deliver the reply *and* piggyback a fail-over notice
     /// carrying the next replica's address (section 4.3).
-    fn piggyback_reply(&mut self, sys: &mut dyn SysApi, conn: ConnId, frame: &Frame) -> Vec<u8> {
+    fn piggyback_reply(&mut self, sys: &mut dyn SysApi, conn: ConnId, frame: &Frame) -> Bytes {
         let target = self.dir.next_after(&self.member).cloned();
         let addr = target
             .as_ref()
             .and_then(|t| self.dir.addr_of(t).map(|(h, p)| (h.to_string(), p)));
         let Some((host, port)) = addr else {
             sys.count("mead.piggyback_no_target", 1);
-            return frame.bytes.to_vec();
+            return frame.bytes.clone();
         };
         sys.charge_cpu(self.cfg.costs.fabricate_cpu);
         sys.count("mead.piggybacks_sent", 1);
@@ -491,7 +490,7 @@ impl ServerState {
         // interceptor can redirect before handing the reply up.
         let mut out = FailoverNotice::new(&host, port, self.member.as_str()).encode();
         out.extend_from_slice(&frame.bytes);
-        out
+        out.into()
     }
 
     /// Outbound write-path processing (Naming Service traffic): in the
@@ -512,12 +511,12 @@ impl ServerState {
         if req.operation != "bind" {
             return;
         }
-        let mut r = giop::CdrReader::new(req.body.to_vec().into(), Endian::Big);
+        let mut r = giop::CdrReader::new(&req.body, Endian::Big);
         let parsed = r
             .read_string()
             .and_then(|_name| r.read_octets())
             .ok()
-            .and_then(|bytes| giop::Ior::decode(&bytes).ok());
+            .and_then(|bytes| giop::Ior::decode(bytes).ok());
         if let Some(ior) = parsed {
             sys.count("mead.ior_captured", 1);
             self.my_iors.push(ior.clone());
@@ -694,7 +693,7 @@ impl ServerState {
                 if self.cfg.commit_acks
                     && (!self.held_replies.is_empty() || !self.current_batch.is_empty())
                 {
-                    let mut merged: Vec<(ConnId, Vec<u8>)> = Vec::new();
+                    let mut merged: Vec<(ConnId, Bytes)> = Vec::new();
                     for batch in std::mem::take(&mut self.held_replies) {
                         merged.extend(batch);
                     }
@@ -786,7 +785,7 @@ impl ServerState {
                         if let Some(batch) = self.held_replies.pop_front() {
                             for (conn, bytes) in batch {
                                 sys.count("mead.acks_committed", 1);
-                                let _ = sys.write(conn, &bytes);
+                                let _ = sys.write_bytes(conn, bytes);
                             }
                         }
                     }
@@ -951,50 +950,41 @@ impl SysApi for ServerFacade<'_> {
     }
 
     fn write(&mut self, conn: ConnId, bytes: &[u8]) -> Result<(), SysError> {
-        if self.st.client_streams.contains_key(&conn) {
-            let frames = {
-                let stream = self.st.client_streams.get_mut(&conn).expect("checked");
-                stream.push_outgoing(bytes).map_err(|_| {
-                    // The app emitted something unframeable; pass raw.
-                    SysError::UnknownConn(conn)
-                })
-            };
-            match frames {
-                Ok(frames) => {
-                    let mut held_any = false;
-                    for frame in frames {
-                        let out = self.st.filter_client_write(self.sys, conn, &frame);
-                        // Commit-before-ack: a GIOP reply only goes on
-                        // the wire once the checkpoint covering the state
-                        // it acknowledges is durable (self-delivered).
-                        if self.st.cfg.commit_acks
-                            && frame.kind == FrameKind::Giop
-                            && frame.msg_type() == MsgType::Reply as u8
-                        {
-                            self.st.current_batch.push((conn, out));
-                            held_any = true;
-                        } else {
-                            self.sys.write(conn, &out)?;
-                        }
-                    }
-                    if held_any {
-                        self.st.send_checkpoint(self.sys);
-                    }
-                    self.st.maybe_drain(self.sys);
-                    Ok(())
-                }
-                Err(_) => self.sys.write(conn, bytes),
+        let mut frames = std::mem::take(&mut self.st.frame_buf);
+        if let Some(stream) = self.st.client_streams.get_mut(&conn) {
+            if stream.push_outgoing(bytes, &mut frames).is_err() {
+                // The app emitted something unframeable; pass raw.
+                return self.sys.write(conn, bytes);
             }
-        } else if self.st.out_streams.contains_key(&conn) {
-            let frames = {
-                let stream = self.st.out_streams.get_mut(&conn).expect("checked");
-                stream.push_outgoing(bytes)
-            };
-            if let Ok(frames) = frames {
-                for frame in &frames {
-                    self.st.process_outbound_frame(self.sys, frame);
+            let mut held_any = false;
+            for frame in frames.drain(..) {
+                let out = self.st.filter_client_write(self.sys, conn, &frame);
+                // Commit-before-ack: a GIOP reply only goes on
+                // the wire once the checkpoint covering the state
+                // it acknowledges is durable (self-delivered).
+                if self.st.cfg.commit_acks
+                    && frame.kind == FrameKind::Giop
+                    && frame.msg_type() == MsgType::Reply as u8
+                {
+                    self.st.current_batch.push((conn, out));
+                    held_any = true;
+                } else {
+                    self.sys.write_bytes(conn, out)?;
                 }
             }
+            self.st.frame_buf = frames;
+            if held_any {
+                self.st.send_checkpoint(self.sys);
+            }
+            self.st.maybe_drain(self.sys);
+            Ok(())
+        } else if let Some(stream) = self.st.out_streams.get_mut(&conn) {
+            if stream.push_outgoing(bytes, &mut frames).is_ok() {
+                for frame in frames.drain(..) {
+                    self.st.process_outbound_frame(self.sys, &frame);
+                }
+            }
+            self.st.frame_buf = frames;
             self.sys.write(conn, bytes)
         } else {
             self.sys.write(conn, bytes)

@@ -14,7 +14,6 @@
 //!    synchronisation, and the address query/reply pair used by the
 //!    `NEEDS_ADDRESSING_MODE` scheme.
 
-use bytes::Bytes;
 use giop::{encode_frame, CdrReader, CdrWriter, Endian, Frame, Ior, MEAD_MAGIC};
 use obs::{CodecError, WireCodec};
 
@@ -48,7 +47,7 @@ impl FailoverNotice {
 
     /// Encodes as a complete `"MEAD"` frame.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_wire().to_vec()
+        self.encode_wire()
     }
 
     /// Decodes from a split [`Frame`] (must carry the MEAD magic).
@@ -68,21 +67,21 @@ impl WireCodec for FailoverNotice {
         "failover_notice"
     }
 
-    fn encode_wire(&self) -> Bytes {
-        let mut w = CdrWriter::new(Endian::Big);
-        w.write_u8(1); // kind
-        w.write_string(&self.host);
-        w.write_u16(self.port);
-        w.write_string(&self.from_member);
-        w.write_octets(&self.pad);
-        encode_frame(MEAD_MAGIC, 1, Endian::Big, &w.finish())
+    fn encode_wire(&self) -> Vec<u8> {
+        encode_frame(MEAD_MAGIC, 1, Endian::Big, |w| {
+            w.write_u8(1); // kind
+            w.write_string(&self.host);
+            w.write_u16(self.port);
+            w.write_string(&self.from_member);
+            w.write_octets(&self.pad);
+        })
     }
 
     fn decode_wire(bytes: &[u8]) -> Result<Self, CodecError> {
         if bytes.len() < 12 || bytes[0..4] != MEAD_MAGIC {
             return Err(CodecError::BadMagic);
         }
-        let mut r = CdrReader::new(bytes[12..].to_vec().into(), Endian::Big);
+        let mut r = CdrReader::new(&bytes[12..], Endian::Big);
         let kind = r.read_u8()?;
         if kind != 1 {
             return Err(CodecError::UnknownKind(kind));
@@ -91,7 +90,7 @@ impl WireCodec for FailoverNotice {
             host: r.read_string()?,
             port: r.read_u16()?,
             from_member: r.read_string()?,
-            pad: r.read_octets()?,
+            pad: r.read_octets()?.to_vec(),
         })
     }
 }
@@ -180,7 +179,7 @@ impl GroupMsg {
 
     /// Encodes for multicast.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_wire().to_vec()
+        self.encode_wire()
     }
 
     /// Decodes a multicast payload.
@@ -209,7 +208,7 @@ impl WireCodec for GroupMsg {
         }
     }
 
-    fn encode_wire(&self) -> Bytes {
+    fn encode_wire(&self) -> Vec<u8> {
         let mut w = CdrWriter::new(Endian::Big);
         w.write_u8(self.kind());
         match self {
@@ -257,7 +256,7 @@ impl WireCodec for GroupMsg {
     }
 
     fn decode_wire(payload: &[u8]) -> Result<Self, CodecError> {
-        let mut r = CdrReader::new(payload.to_vec().into(), Endian::Big);
+        let mut r = CdrReader::new(payload, Endian::Big);
         let kind = r.read_u8()?;
         Ok(match kind {
             0 => GroupMsg::AddrAdvert {
@@ -267,7 +266,7 @@ impl WireCodec for GroupMsg {
             },
             1 => GroupMsg::IorAdvert {
                 member: r.read_string()?,
-                ior: Ior::decode(&r.read_octets()?)?,
+                ior: Ior::decode(r.read_octets()?)?,
             },
             2 => GroupMsg::LaunchRequest {
                 member: r.read_string()?,
@@ -293,7 +292,7 @@ impl WireCodec for GroupMsg {
             },
             6 => GroupMsg::Checkpoint {
                 member: r.read_string()?,
-                state: r.read_octets()?,
+                state: r.read_octets()?.to_vec(),
             },
             7 => {
                 let next_port = r.read_u16()?;

@@ -242,7 +242,8 @@ fn server_interceptor_stages_requests_and_passes_replies_through() {
     let on_wire = rig.sys.written(conn);
     let mut split = FrameSplitter::new();
     split.push(on_wire);
-    let frames = split.drain_frames().expect("frames");
+    let mut frames = Vec::new();
+    split.drain_frames(&mut frames).expect("frames");
     assert_eq!(frames.len(), 1);
     assert_eq!(frames[0].kind, FrameKind::Giop);
     assert_eq!(&frames[0].bytes[..], &reply(7)[..]);
@@ -307,7 +308,8 @@ fn migrating_server_piggybacks_failover_notice_before_reply() {
     // The wire now carries [MEAD notice][GIOP reply].
     let mut split = FrameSplitter::new();
     split.push(rig.sys.written(conn));
-    let frames = split.drain_frames().expect("frames");
+    let mut frames = Vec::new();
+    split.drain_frames(&mut frames).expect("frames");
     assert_eq!(frames.len(), 2, "notice + reply");
     assert_eq!(frames[0].kind, FrameKind::Mead);
     let notice = FailoverNotice::decode(&frames[0]).expect("notice decodes");
@@ -403,7 +405,8 @@ fn location_forward_server_replaces_reply_with_forward() {
     // reply the app produced.
     let mut split = FrameSplitter::new();
     split.push(rig.sys.written(conn));
-    let frames = split.drain_frames().expect("frames");
+    let mut frames = Vec::new();
+    split.drain_frames(&mut frames).expect("frames");
     assert_eq!(frames.len(), 1);
     match Message::decode(&frames[0].bytes).expect("decodes") {
         Message::Reply(rep) => match rep.body {

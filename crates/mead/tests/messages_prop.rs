@@ -66,7 +66,8 @@ proptest! {
         stream.extend_from_slice(&reply);
         let mut s = FrameSplitter::new();
         s.push(&stream);
-        let frames = s.drain_frames().expect("both frames split");
+        let mut frames = Vec::new();
+        s.drain_frames(&mut frames).expect("both frames split");
         prop_assert_eq!(frames.len(), 2);
         let got = FailoverNotice::decode(&frames[0]).expect("notice decodes");
         prop_assert_eq!(got.host, host);

@@ -9,7 +9,6 @@
 
 use core::fmt;
 
-use bytes::Bytes;
 use giop::CdrError;
 
 /// Errors shared by every wire codec in the workspace.
@@ -57,8 +56,8 @@ pub trait WireCodec: Sized {
     /// Stable name of this frame's type, for generic logging.
     fn frame_name(&self) -> &'static str;
 
-    /// Encodes the full wire form.
-    fn encode_wire(&self) -> Bytes;
+    /// Encodes the full wire form, built in one buffer.
+    fn encode_wire(&self) -> Vec<u8>;
 
     /// Decodes the full wire form produced by [`WireCodec::encode_wire`].
     fn decode_wire(bytes: &[u8]) -> Result<Self, CodecError>;
@@ -85,8 +84,8 @@ mod tests {
         fn frame_name(&self) -> &'static str {
             "ping"
         }
-        fn encode_wire(&self) -> Bytes {
-            Bytes::copy_from_slice(&[0x50, self.0])
+        fn encode_wire(&self) -> Vec<u8> {
+            vec![0x50, self.0]
         }
         fn decode_wire(bytes: &[u8]) -> Result<Ping, CodecError> {
             match bytes {

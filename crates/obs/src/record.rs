@@ -56,6 +56,15 @@ impl Recorder {
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
+
+    /// Moves the ordered trace out, leaving the recorder empty. The
+    /// vector is shrunk to its length (in place, as a rule): callers keep
+    /// outcomes, and with them their traces, for a whole batch.
+    pub fn take_events(&mut self) -> Vec<TraceEvent> {
+        let mut events = std::mem::take(&mut self.events);
+        events.shrink_to_fit();
+        events
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use giop::{Endian, FrameKind, FrameSplitter, Ior, Message, ObjectKey, ReplyBody, RequestMessage};
+use giop::{encode_request, Endian, FrameKind, FrameSplitter, Ior, Message, ObjectKey, ReplyBody};
 use obs::{EventKind, Phase};
 use simnet::{Addr, ConnId, Event, NodeId, Port, SimDuration, SysApi};
 
@@ -277,15 +277,16 @@ impl ClientOrb {
         let Some(p) = self.pending.get(&request_id) else {
             return;
         };
-        let msg = Message::Request(RequestMessage {
+        let wire = encode_request(
+            Endian::Big,
             request_id,
-            response_expected: true,
-            object_key: p.object_key.clone(),
-            operation: p.operation.clone(),
-            body: p.body.clone(),
-        });
+            true,
+            &p.object_key,
+            &p.operation,
+            &p.body,
+        );
         sys.charge_cpu(self.cfg.request_cpu);
-        if sys.write(conn, &msg.encode(Endian::Big)).is_err() {
+        if sys.write(conn, &wire).is_err() {
             // Connection died between dispatch and send; the PeerClosed
             // event will raise COMM_FAILURE for this request.
         }
@@ -345,7 +346,7 @@ impl ClientOrb {
                     return Some(Vec::new());
                 };
                 let info = self.conns.get_mut(conn).expect("checked above");
-                info.splitter.push(&read.data);
+                info.splitter.push_bytes(read.data);
                 let mut out = Vec::new();
                 loop {
                     let frame = match self.conns.get_mut(conn).map(|i| i.splitter.next_frame()) {

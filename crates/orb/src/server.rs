@@ -121,7 +121,7 @@ impl ServerOrb {
                     return Some(0);
                 };
                 let splitter = self.conns.get_mut(conn).expect("checked");
-                splitter.push(&read.data);
+                splitter.push_bytes(read.data);
                 let mut handled = 0;
                 loop {
                     let frame = match self.conns.get_mut(conn).map(|s| s.next_frame()) {

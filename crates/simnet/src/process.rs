@@ -130,6 +130,19 @@ pub trait SysApi {
     /// after either side closed.
     fn write(&mut self, conn: ConnId, bytes: &[u8]) -> Result<(), SysError>;
 
+    /// Writes `bytes` to `conn` without copying them: the delivery shares
+    /// the caller's buffer (an interceptor forwarding frames it already
+    /// holds, or one encoded frame fanned out to many connections). Same
+    /// semantics and errors as [`SysApi::write`], which the default
+    /// forwards to.
+    ///
+    /// # Errors
+    ///
+    /// As [`SysApi::write`].
+    fn write_bytes(&mut self, conn: ConnId, bytes: Bytes) -> Result<(), SysError> {
+        self.write(conn, &bytes)
+    }
+
     /// Drains up to `max` buffered bytes from `conn`.
     ///
     /// # Errors

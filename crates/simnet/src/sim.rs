@@ -744,9 +744,10 @@ impl Simulation {
         Rc::clone(&self.recorder)
     }
 
-    /// Immutable snapshot accessor for the observability recorder.
-    pub fn with_recorder<T>(&self, f: impl FnOnce(&obs::Recorder) -> T) -> T {
-        f(&self.recorder.borrow())
+    /// Moves the recorded trace out of the recorder (no copy), ending
+    /// it: call once the run is over.
+    pub fn take_trace(&mut self) -> Vec<obs::TraceEvent> {
+        self.recorder.borrow_mut().take_events()
     }
 
     /// Sets the trace verbosity, resetting the recorder. At
@@ -1699,6 +1700,55 @@ impl Ctx<'_> {
     fn busy_until(&self) -> SimTime {
         self.sim.meta(self.pid).expect("own slot exists").busy_until
     }
+
+    /// Puts `len` bytes on `conn`'s wire. `payload` makes the buffer the
+    /// delivery carries and runs only once every check has passed: a
+    /// write from a slice is copied there, once, and a [`Bytes`] write is
+    /// enqueued as it is.
+    fn send(
+        &mut self,
+        conn: ConnId,
+        len: usize,
+        payload: impl FnOnce() -> Bytes,
+    ) -> Result<(), SysError> {
+        let now = self.sim.now;
+        let busy_until = self.busy_until();
+        let src_node = self.node();
+        let ep = self.sim.endpoint(conn).ok_or(SysError::UnknownConn(conn))?;
+        if ep.owner != self.pid {
+            return Err(SysError::UnknownConn(conn));
+        }
+        match ep.state {
+            EpState::Connecting => return Err(SysError::NotEstablished(conn)),
+            EpState::ClosedLocal => return Err(SysError::ClosedLocally(conn)),
+            EpState::Established => {}
+        }
+        if ep.peer_eof {
+            return Err(SysError::PeerClosed(conn));
+        }
+        let peer_id = ep.peer.ok_or(SysError::NotEstablished(conn))?;
+        let dst_node = ep.remote_node;
+        let tag = ep.tag;
+        let depart = now.max(busy_until);
+        if let Some(tag) = tag {
+            self.sim
+                .metrics
+                .borrow_mut()
+                .record_bytes(tag, depart, len as u64);
+        }
+        // Is the peer still able to receive? If its process is dead the
+        // bytes are silently lost (the EOF races them).
+        let lat = self.sim.sample_latency(src_node, dst_node, len);
+        let arrival = self.sim.fifo_arrival(peer_id, depart + lat);
+        self.sim.push(
+            arrival,
+            Action::DeliverData {
+                ep: peer_id,
+                data: payload(),
+            },
+        );
+        Ok(())
+    }
 }
 
 impl SysApi for Ctx<'_> {
@@ -1773,43 +1823,11 @@ impl SysApi for Ctx<'_> {
     }
 
     fn write(&mut self, conn: ConnId, bytes: &[u8]) -> Result<(), SysError> {
-        let now = self.sim.now;
-        let busy_until = self.busy_until();
-        let src_node = self.node();
-        let ep = self.sim.endpoint(conn).ok_or(SysError::UnknownConn(conn))?;
-        if ep.owner != self.pid {
-            return Err(SysError::UnknownConn(conn));
-        }
-        match ep.state {
-            EpState::Connecting => return Err(SysError::NotEstablished(conn)),
-            EpState::ClosedLocal => return Err(SysError::ClosedLocally(conn)),
-            EpState::Established => {}
-        }
-        if ep.peer_eof {
-            return Err(SysError::PeerClosed(conn));
-        }
-        let peer_id = ep.peer.ok_or(SysError::NotEstablished(conn))?;
-        let dst_node = ep.remote_node;
-        let tag = ep.tag;
-        let depart = now.max(busy_until);
-        if let Some(tag) = tag {
-            self.sim
-                .metrics
-                .borrow_mut()
-                .record_bytes(tag, depart, bytes.len() as u64);
-        }
-        // Is the peer still able to receive? If its process is dead the
-        // bytes are silently lost (the EOF races them).
-        let lat = self.sim.sample_latency(src_node, dst_node, bytes.len());
-        let arrival = self.sim.fifo_arrival(peer_id, depart + lat);
-        self.sim.push(
-            arrival,
-            Action::DeliverData {
-                ep: peer_id,
-                data: Bytes::copy_from_slice(bytes),
-            },
-        );
-        Ok(())
+        self.send(conn, bytes.len(), || Bytes::copy_from_slice(bytes))
+    }
+
+    fn write_bytes(&mut self, conn: ConnId, bytes: Bytes) -> Result<(), SysError> {
+        self.send(conn, bytes.len(), || bytes)
     }
 
     fn read(&mut self, conn: ConnId, max: usize) -> Result<ReadOutcome, SysError> {
